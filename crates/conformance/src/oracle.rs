@@ -115,6 +115,9 @@ pub struct ScenarioOutcome {
     pub soft_side: Option<bool>,
     /// Round measurement feeding the envelope fit (clean runs only).
     pub measurement: Option<RoundMeasurement>,
+    /// Faulted runs only: the [`congest_sim::SimError::kind`] of the typed
+    /// simulator error the run surfaced (`None` when it finished).
+    pub error_kind: Option<&'static str>,
 }
 
 impl ScenarioOutcome {
@@ -151,6 +154,8 @@ struct EvalResult {
     soft_side: Option<bool>,
     /// See [`ScenarioOutcome::measurement`].
     measurement: Option<RoundMeasurement>,
+    /// See [`ScenarioOutcome::error_kind`].
+    error_kind: Option<&'static str>,
 }
 
 /// The shared-immutable half of a scenario run: the built graph plus its
@@ -228,12 +233,13 @@ fn run_scenario_impl(spec: &ScenarioSpec, shared: Option<&SharedSetup>) -> Scena
         let second = evaluate(spec, setup);
         let (s1, s2) = (summarize_eval(&first), summarize_eval(&second));
         let mut checks;
-        let (soft_side, measurement);
+        let (soft_side, measurement, error_kind);
         match first {
             Ok(e) => {
                 checks = e.checks;
                 soft_side = e.soft_side;
                 measurement = e.measurement;
+                error_kind = e.error_kind;
             }
             Err(msg) => {
                 // A failed evaluation is only acceptable as a *typed*
@@ -243,6 +249,7 @@ fn run_scenario_impl(spec: &ScenarioSpec, shared: Option<&SharedSetup>) -> Scena
                 checks = vec![CheckResult::fail(Oracle::QualityConsistency, msg)];
                 soft_side = None;
                 measurement = None;
+                error_kind = None;
             }
         }
         if s1 == s2 {
@@ -253,10 +260,10 @@ fn run_scenario_impl(spec: &ScenarioSpec, shared: Option<&SharedSetup>) -> Scena
                 format!("replay diverged:\n  first:  {s1}\n  second: {s2}"),
             ));
         }
-        (n, d, checks, soft_side, measurement)
+        (n, d, checks, soft_side, measurement, error_kind)
     }));
     match caught {
-        Ok((n, d, mut checks, soft_side, measurement)) => {
+        Ok((n, d, mut checks, soft_side, measurement, error_kind)) => {
             checks.push(CheckResult::pass(Oracle::NoPanic, "no panic"));
             ScenarioOutcome {
                 spec: *spec,
@@ -265,6 +272,7 @@ fn run_scenario_impl(spec: &ScenarioSpec, shared: Option<&SharedSetup>) -> Scena
                 checks,
                 soft_side,
                 measurement,
+                error_kind,
             }
         }
         Err(payload) => {
@@ -283,6 +291,7 @@ fn run_scenario_impl(spec: &ScenarioSpec, shared: Option<&SharedSetup>) -> Scena
                 )],
                 soft_side: None,
                 measurement: None,
+                error_kind: None,
             }
         }
     }
@@ -351,6 +360,7 @@ fn evaluate_baseline(spec: &ScenarioSpec, setup: &SharedSetup) -> Result<EvalRes
             max_weight: spec.max_weight,
             rounds: stats.rounds,
         }),
+        error_kind: None,
     })
 }
 
@@ -449,6 +459,7 @@ fn evaluate_quantum(
                 } else {
                     None
                 },
+                error_kind: None,
             })
         }
         Err(e) if !spec.is_clean() => {
@@ -465,6 +476,7 @@ fn evaluate_quantum(
                 )],
                 soft_side: None,
                 measurement: None,
+                error_kind: Some(e.kind()),
             })
         }
         Err(e) => Err(format!("quantum run failed on a clean network: {e}")),
@@ -481,6 +493,7 @@ fn evaluate_primitive(spec: &ScenarioSpec, g: &WeightedGraph) -> Result<EvalResu
     let values: Vec<u128> = (0..n as u128).map(|v| v + 1).collect();
     let expected: u128 = values.iter().sum();
     let cfg = spec.build_config(g);
+    let mut error_kind = None;
     let check = match primitives::converge_cast(g, 0, &cfg, &tree, &values, Aggregate::Sum) {
         Ok((sum, _)) if sum == expected => CheckResult::pass(
             Oracle::QualityConsistency,
@@ -490,10 +503,13 @@ fn evaluate_primitive(spec: &ScenarioSpec, g: &WeightedGraph) -> Result<EvalResu
             Oracle::QualityConsistency,
             format!("silent wrong aggregate: got {sum}, expected {expected}"),
         ),
-        Err(e) if !spec.is_clean() => CheckResult::pass(
-            Oracle::QualityConsistency,
-            format!("faulted cast surfaced a typed error: {e}"),
-        ),
+        Err(e) if !spec.is_clean() => {
+            error_kind = Some(e.kind());
+            CheckResult::pass(
+                Oracle::QualityConsistency,
+                format!("faulted cast surfaced a typed error: {e}"),
+            )
+        }
         Err(e) => CheckResult::fail(
             Oracle::QualityConsistency,
             format!("clean cast errored: {e}"),
@@ -506,6 +522,7 @@ fn evaluate_primitive(spec: &ScenarioSpec, g: &WeightedGraph) -> Result<EvalResu
         checks: vec![check],
         soft_side: None,
         measurement: None,
+        error_kind,
     })
 }
 

@@ -95,6 +95,37 @@ impl SuiteReport {
     pub fn execute_secs(&self) -> f64 {
         self.timings.iter().map(|t| t.execute_secs).sum()
     }
+
+    /// How the faulted scenarios ended, by the kind of typed simulator
+    /// error they surfaced.
+    pub fn faulted_outcomes(&self) -> FaultedOutcomes {
+        let mut counts = FaultedOutcomes::default();
+        for o in self.outcomes.iter().filter(|o| !o.spec.is_clean()) {
+            match o.error_kind {
+                None => counts.finished += 1,
+                Some("stalled") => counts.stalled += 1,
+                Some("round-limit") => counts.round_limit += 1,
+                Some(_) => counts.other += 1,
+            }
+        }
+        counts
+    }
+}
+
+/// Faulted-scenario outcomes by error kind (see
+/// [`SuiteReport::faulted_outcomes`]). A run spinning to the round cap
+/// instead of stalling costs its whole 300,000-round budget, so CI fails
+/// on any `round_limit` outcome.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FaultedOutcomes {
+    /// Runs that finished without a simulator error.
+    pub finished: usize,
+    /// Runs ended by stall detection (`SimError::Stalled`).
+    pub stalled: usize,
+    /// Runs that hit the round cap (`SimError::RoundLimitExceeded`).
+    pub round_limit: usize,
+    /// Runs that surfaced any other typed simulator error.
+    pub other: usize,
 }
 
 /// A stable fingerprint of everything semantically produced by a suite run:
@@ -322,6 +353,13 @@ pub fn render_report(report: &SuiteReport) -> String {
         shared
     )
     .unwrap();
+    let faulted = report.faulted_outcomes();
+    writeln!(
+        out,
+        "faulted runs: {} finished, {} stalled, {} round-limit, {} other error(s)",
+        faulted.finished, faulted.stalled, faulted.round_limit, faulted.other
+    )
+    .unwrap();
     if let Some(rate) = report.soft_rate {
         writeln!(
             out,
@@ -425,6 +463,30 @@ mod tests {
         for (name, value) in &report.envelope.metrics {
             assert_eq!(flat.get(name), Some(value), "metric {name} drifted");
         }
+    }
+
+    #[test]
+    fn faulted_outcomes_count_stalls_by_kind() {
+        // Seeds 3 and 37 (quantum, primitive) lose a message to a crash
+        // and stall; seeds 12 and 16 finish despite theirs; seed 0 is
+        // clean and not counted.
+        let specs: Vec<ScenarioSpec> = [0, 3, 12, 16, 37]
+            .into_iter()
+            .map(ScenarioSpec::from_seed)
+            .collect();
+        let report = run_suite(&specs, &SuiteOptions::default());
+        assert!(report.passed(), "{}", render_report(&report));
+        assert_eq!(
+            report.faulted_outcomes(),
+            FaultedOutcomes {
+                finished: 2,
+                stalled: 2,
+                round_limit: 0,
+                other: 0,
+            }
+        );
+        assert!(render_report(&report)
+            .contains("faulted runs: 2 finished, 2 stalled, 0 round-limit, 0 other error(s)"));
     }
 
     #[test]

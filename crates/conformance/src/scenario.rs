@@ -257,9 +257,11 @@ impl ScenarioSpec {
     }
 
     /// The simulator configuration for this scenario: standard bandwidth,
-    /// the fault plan from [`FaultSpec`], and a round cap that is generous
-    /// for clean runs but tight enough that a fault-stalled phase fails
-    /// fast with `RoundLimitExceeded` instead of spinning.
+    /// the fault plan from [`FaultSpec`], and a round cap. A faulted phase
+    /// that can make no further progress is ended by the simulator's stall
+    /// detection (`SimError::Stalled`) as soon as every node is left
+    /// waiting; the 300,000-round cap on faulted runs is only the backstop
+    /// for programs that never report `Status::Waiting`.
     pub fn build_config(&self, g: &WeightedGraph) -> SimConfig {
         let max_rounds = match self.faults {
             FaultSpec::NoFaults => 100_000_000,

@@ -317,6 +317,21 @@ impl FaultOracle {
             c.node == node && round >= c.from_round && c.until_round.is_none_or(|u| round < u)
         })
     }
+
+    /// The last round in which a crash window opens or closes: the largest
+    /// `until_round` (the last scheduled recovery), or `from_round` for a
+    /// window that never closes. `None` without crash windows.
+    ///
+    /// After this round the set of live nodes never changes again, which is
+    /// what lets the network declare a stall: a later recovery could make
+    /// a node send, and a later permanent crash could take the last
+    /// waiting node out of the run and let the rest quiesce.
+    pub fn last_crash_transition(&self) -> Option<usize> {
+        self.crashes
+            .iter()
+            .map(|c| c.until_round.unwrap_or(c.from_round))
+            .max()
+    }
 }
 
 #[cfg(test)]
@@ -402,6 +417,13 @@ mod tests {
         assert!(oracle.node_alive(4, 9));
         assert!(!oracle.node_alive(4, 1_000_000));
         assert!(oracle.node_alive(0, 1));
+        assert_eq!(oracle.last_crash_transition(), Some(10));
+        let recovers_late = FaultPlan::new(0)
+            .with_crash(4, 2, None)
+            .with_crash(2, 3, Some(16))
+            .compile();
+        assert_eq!(recovers_late.last_crash_transition(), Some(16));
+        assert_eq!(FaultPlan::new(0).compile().last_crash_transition(), None);
     }
 
     #[test]

@@ -196,6 +196,13 @@ impl Bandwidth {
 pub enum Status {
     /// Keep participating in subsequent rounds.
     Running,
+    /// Idle until a message arrives. The contract: in a round whose inbox
+    /// is empty, a `Waiting` node sends nothing, changes no state, and
+    /// returns `Waiting` again. A node that acts on a round-count deadline
+    /// must report [`Status::Running`] instead. When nothing is in flight
+    /// and every live node is `Waiting` or `Done`, the network ends the run
+    /// with [`SimError::Stalled`] (see [`crate::Network::step`]).
+    Waiting,
     /// This node has finished the algorithm (it still relays nothing).
     Done,
 }
@@ -489,6 +496,19 @@ pub enum SimError {
         /// Rounds that actually executed before the cap fired.
         rounds_executed: usize,
     },
+    /// No node can send again: nothing is in flight, every live node that
+    /// is not [`Status::Done`] is [`Status::Waiting`], and no crash window
+    /// opens or closes in a later round. Without stall detection the run
+    /// would spin to `max_rounds` and end in [`SimError::RoundLimitExceeded`].
+    ///
+    /// [`crate::Network::stats`] still reflects every executed round, as
+    /// for `RoundLimitExceeded`.
+    Stalled {
+        /// The round after which the network stalled (= rounds executed).
+        round: usize,
+        /// Live nodes left [`Status::Waiting`].
+        waiting: usize,
+    },
     /// The network quiesced, but a node whose output the phase needs never
     /// reached its final state — e.g. the aggregation root of a
     /// [`crate::primitives::converge_cast`] was inside a
@@ -522,12 +542,32 @@ impl fmt::Display for SimError {
                     "simulation did not finish within {max_rounds} rounds ({rounds_executed} executed)"
                 )
             }
+            SimError::Stalled { round, waiting } => {
+                write!(
+                    f,
+                    "network stalled after round {round}: {waiting} node(s) waiting for messages that can no longer arrive"
+                )
+            }
             SimError::PhaseIncomplete { phase, node } => {
                 write!(
                     f,
                     "phase '{phase}' quiesced without node {node} reaching its result (crashed under faults?)"
                 )
             }
+        }
+    }
+}
+
+impl SimError {
+    /// A stable kebab-case label of the error's variant, for reports that
+    /// count outcomes by kind.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            SimError::NotAdjacent { .. } => "not-adjacent",
+            SimError::BandwidthExceeded { .. } => "bandwidth-exceeded",
+            SimError::RoundLimitExceeded { .. } => "round-limit",
+            SimError::Stalled { .. } => "stalled",
+            SimError::PhaseIncomplete { .. } => "phase-incomplete",
         }
     }
 }

@@ -83,6 +83,11 @@ impl<M: Payload> Mailbox<M> {
         }
     }
 
+    /// `true` if no message is queued.
+    pub fn is_empty(&self) -> bool {
+        self.out.is_empty()
+    }
+
     /// Moves every queued message to the back of `scratch`, leaving this
     /// mailbox empty but with its buffer capacity intact — the
     /// reuse-friendly alternative to moving the buffer out and allocating a
@@ -453,8 +458,8 @@ impl<P: NodeProgram> Network<P> {
     }
 
     /// Executes one synchronous round; returns `true` if the network is
-    /// quiescent afterwards (all programs [`Status::Done`] and no messages in
-    /// flight).
+    /// quiescent afterwards (all live programs [`Status::Done`] and no
+    /// messages in flight).
     ///
     /// Each round runs in two phases. **Compute**: every live node's
     /// [`NodeProgram::round`] executes against its own inbox and its own
@@ -469,7 +474,12 @@ impl<P: NodeProgram> Network<P> {
     ///
     /// # Errors
     ///
-    /// Propagates adjacency and bandwidth violations.
+    /// Propagates adjacency and bandwidth violations; returns
+    /// [`SimError::RoundLimitExceeded`] when the round would exceed
+    /// [`SimConfig::max_rounds`], and [`SimError::Stalled`] when no node can
+    /// send again: nothing is in flight, every live node that is not
+    /// [`Status::Done`] is [`Status::Waiting`], and no crash window opens or
+    /// closes after this round.
     pub fn step(&mut self) -> Result<bool, SimError> {
         let messages_before = self.stats.messages;
         let bits_before = self.stats.bits;
@@ -556,15 +566,37 @@ impl<P: NodeProgram> Network<P> {
                 bits,
                 max_channel_bits,
             });
-        // A crashed node cannot act, so it does not hold up quiescence; if
-        // the network settles while it is down, its quality is `Failed`.
-        let quiescent = self
-            .status
-            .iter()
-            .zip(&self.crashed_now)
-            .all(|(&s, &crashed)| s == Status::Done || crashed)
-            && self.pending.iter().all(Vec::is_empty);
-        Ok(quiescent)
+        // A crashed node cannot act, so it holds up neither quiescence nor
+        // a stall; if the network settles while it is down, its quality is
+        // `Failed`.
+        let mut waiting = 0;
+        for (&status, &crashed) in self.status.iter().zip(&self.crashed_now) {
+            match status {
+                _ if crashed => {}
+                Status::Running => return Ok(false),
+                Status::Waiting => waiting += 1,
+                Status::Done => {}
+            }
+        }
+        if !self.pending.iter().all(Vec::is_empty) {
+            return Ok(false);
+        }
+        if waiting == 0 {
+            return Ok(true);
+        }
+        // Every live node idles until a message arrives and none is in
+        // flight. Drop rates and bursts cannot change that (no message is
+        // ever sent again, so no drop decision is consulted); only a crash
+        // window that opens or closes later can.
+        let live_set_changes = self
+            .faults
+            .as_ref()
+            .and_then(FaultOracle::last_crash_transition)
+            .is_some_and(|last| last > round);
+        if live_set_changes {
+            return Ok(false);
+        }
+        Err(SimError::Stalled { round, waiting })
     }
 
     /// The compute phase: runs every live node's [`NodeProgram::round`],
@@ -629,8 +661,8 @@ impl<P: NodeProgram> Network<P> {
     ///
     /// # Errors
     ///
-    /// Returns an error on adjacency/bandwidth violations or if
-    /// `max_rounds` elapse first.
+    /// Returns an error on adjacency/bandwidth violations, if the network
+    /// stalls, or if `max_rounds` elapse first.
     pub fn run(&mut self) -> Result<Vec<P::Output>, SimError> {
         self.run_to_quiescence()?;
         let programs = std::mem::take(&mut self.programs);
@@ -933,6 +965,110 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("7 executed"));
+    }
+
+    /// Passes a token down the path, starting at the leader in round 1.
+    /// Every node waits for the token, so a lost token stalls the network.
+    struct Token {
+        has: bool,
+        sent: bool,
+    }
+
+    impl NodeProgram for Token {
+        type Msg = ();
+        type Output = bool;
+
+        fn start(&mut self, ctx: &NodeCtx, _: &mut Mailbox<()>) {
+            self.has = ctx.is_leader();
+        }
+
+        fn round(
+            &mut self,
+            ctx: &NodeCtx,
+            _: usize,
+            inbox: &[(NodeId, ())],
+            mb: &mut Mailbox<()>,
+        ) -> Status {
+            self.has |= !inbox.is_empty();
+            if self.has && !self.sent {
+                self.sent = true;
+                if ctx.id + 1 < ctx.n {
+                    mb.send(ctx.id + 1, ());
+                }
+            }
+            match (self.has, self.sent) {
+                (_, true) => Status::Done,
+                (true, false) => Status::Running,
+                (false, _) => Status::Waiting,
+            }
+        }
+
+        fn finish(self, _: &NodeCtx) -> bool {
+            self.has
+        }
+    }
+
+    fn token_net(n: usize, plan: crate::faults::FaultPlan) -> Network<Token> {
+        let g = generators::path(n, 1);
+        let cfg = SimConfig::standard(n, 1)
+            .with_max_rounds(1_000)
+            .with_faults(plan);
+        Network::new(&g, 0, cfg, |_, _| Token {
+            has: false,
+            sent: false,
+        })
+    }
+
+    #[test]
+    fn crashed_sender_that_recovers_does_not_stall() {
+        use crate::faults::FaultPlan;
+
+        // The leader, the only node that can start anything, is down for
+        // rounds 1–5 while everyone else waits; its recovery is scheduled,
+        // so the network keeps going and the token arrives afterwards.
+        let mut net = token_net(4, FaultPlan::new(1).with_crash(0, 1, Some(6)));
+        let out = net.run().unwrap();
+        assert_eq!(out, vec![true; 4]);
+        assert_eq!(
+            net.stats().rounds,
+            9,
+            "sent in round 6, arrives at node 3 in 9"
+        );
+    }
+
+    #[test]
+    fn permanent_crash_stalls_and_keeps_partial_stats() {
+        use crate::faults::FaultPlan;
+
+        // Node 2 is down for good: node 1's forward is lost in round 2 and
+        // nodes 3 and 4 wait for a token that can no longer come.
+        let mut net = token_net(5, FaultPlan::new(1).with_crash(2, 1, None));
+        let err = net.run_to_quiescence().unwrap_err();
+        assert_eq!(
+            err,
+            SimError::Stalled {
+                round: 2,
+                waiting: 2
+            }
+        );
+        let stats = net.stats();
+        assert_eq!(stats.rounds, 2, "executed rounds survive the error");
+        assert_eq!(stats.messages, 2);
+        assert_eq!(stats.resilience.dropped_messages, 1);
+        assert_eq!(stats.resilience.crashed_node_rounds, 2);
+    }
+
+    #[test]
+    fn stalled_display_names_round_and_waiting_nodes() {
+        let err = SimError::Stalled {
+            round: 14,
+            waiting: 3,
+        };
+        assert_eq!(
+            err.to_string(),
+            "network stalled after round 14: 3 node(s) waiting for messages that can no longer arrive"
+        );
+        assert_eq!(err.kind(), "stalled");
     }
 
     /// Satellite (PR 2): the first record lost to the message-log cap emits

@@ -105,11 +105,13 @@ impl NodeProgram for BfsTreeProgram {
                 TreeMsg::Adopt => self.children.push(*from),
             }
         }
-        // A node that joined in round t hears every Adopt by round t + 2.
+        // A node that joined in round t hears every Adopt by round t + 2;
+        // until it joins, only a Token can make it act.
         match self.joined_round {
+            None => Status::Waiting,
             Some(t) if round >= t + 2 => Status::Done,
             Some(_) if ctx.degree() == 0 => Status::Done,
-            _ => Status::Running,
+            Some(_) => Status::Running,
         }
     }
 
@@ -123,12 +125,19 @@ impl NodeProgram for BfsTreeProgram {
     }
 }
 
+/// The node program behind [`bfs_tree`], for callers that drive a
+/// [`crate::Network`] themselves.
+pub fn bfs_tree_program() -> impl NodeProgram<Output = TreeInfo> {
+    BfsTreeProgram::new()
+}
+
 /// Builds a BFS tree rooted at `leader` in `O(D)` rounds; returns each
 /// node's [`TreeInfo`] and the phase statistics.
 ///
 /// # Errors
 ///
-/// Propagates simulator errors (a disconnected graph hits the round cap).
+/// Propagates simulator errors (a disconnected graph ends in
+/// [`SimError::Stalled`]: the unreached nodes wait for a token forever).
 ///
 /// # Examples
 ///
@@ -147,9 +156,7 @@ pub fn bfs_tree(
     leader: NodeId,
     config: &SimConfig,
 ) -> Result<(Vec<TreeInfo>, RoundStats), SimError> {
-    run_phase(graph, leader, config, "bfs_tree", |_, _| {
-        BfsTreeProgram::new()
-    })
+    run_phase(graph, leader, config, "bfs_tree", |_, _| bfs_tree_program())
 }
 
 /// Associative aggregation used by [`converge_cast`].
@@ -274,15 +281,36 @@ impl NodeProgram for ConvergeCastProgram {
                 }
             }
         }
+        // Every send above answers a message, so without a result the node
+        // only waits (for its children's values or its parent's downcast).
         if self.result.is_some() {
             Status::Done
         } else {
-            Status::Running
+            Status::Waiting
         }
     }
 
     fn finish(self, _ctx: &NodeCtx) -> Option<u128> {
         self.result
+    }
+}
+
+/// The node program behind [`converge_cast`] for a node at position `tree`
+/// contributing `value`, for callers that drive a [`crate::Network`]
+/// themselves. Its output is `None` when the node never learned the
+/// aggregate.
+pub fn converge_cast_program(
+    tree: TreeInfo,
+    value: u128,
+    op: Aggregate,
+) -> impl NodeProgram<Output = Option<u128>> {
+    ConvergeCastProgram {
+        waiting: tree.children.len(),
+        tree,
+        op,
+        acc: value,
+        sent_up: false,
+        result: None,
     }
 }
 
@@ -310,14 +338,7 @@ pub fn converge_cast(
     assert_eq!(values.len(), graph.n());
     assert_eq!(tree.len(), graph.n());
     let (out, stats) = run_phase(graph, leader, config, "converge_cast", |v, _| {
-        ConvergeCastProgram {
-            tree: tree[v].clone(),
-            op,
-            acc: values[v],
-            waiting: tree[v].children.len(),
-            sent_up: false,
-            result: None,
-        }
+        converge_cast_program(tree[v].clone(), values[v], op)
     })?;
     let result = out[leader].ok_or(SimError::PhaseIncomplete {
         phase: "converge_cast",
@@ -570,12 +591,10 @@ impl NodeProgram for PipelinedBroadcastProgram {
             }
             self.send_cursor += 1;
         }
+        let drained = self.send_cursor == self.received.len();
         match self.expected {
-            Some(c)
-                if self.received.len() as u64 == c && self.send_cursor == self.received.len() =>
-            {
-                Status::Done
-            }
+            Some(c) if self.received.len() as u64 == c && drained => Status::Done,
+            _ if drained => Status::Waiting,
             _ => Status::Running,
         }
     }
@@ -584,6 +603,23 @@ impl NodeProgram for PipelinedBroadcastProgram {
         let mut items = self.received;
         items.sort_unstable_by_key(|&(s, _)| s);
         items.into_iter().map(|(_, v)| v).collect()
+    }
+}
+
+/// The node program behind [`pipelined_broadcast`] for a node at position
+/// `tree`, for callers that drive a [`crate::Network`] themselves: `items`
+/// is the list at the leader and empty everywhere else.
+pub fn pipelined_broadcast_program(
+    tree: TreeInfo,
+    items: Vec<u128>,
+) -> impl NodeProgram<Output = Vec<u128>> {
+    PipelinedBroadcastProgram {
+        tree,
+        items,
+        expected: None,
+        received: Vec::new(),
+        send_cursor: 0,
+        announced: false,
     }
 }
 
@@ -608,18 +644,12 @@ pub fn pipelined_broadcast(
 ) -> Result<(Vec<Vec<u128>>, RoundStats), SimError> {
     assert_eq!(tree.len(), graph.n());
     run_phase(graph, leader, config, "pipelined_broadcast", |v, _| {
-        PipelinedBroadcastProgram {
-            tree: tree[v].clone(),
-            items: if v == leader {
-                items.to_vec()
-            } else {
-                Vec::new()
-            },
-            expected: None,
-            received: Vec::new(),
-            send_cursor: 0,
-            announced: false,
-        }
+        let own = if v == leader {
+            items.to_vec()
+        } else {
+            Vec::new()
+        };
+        pipelined_broadcast_program(tree[v].clone(), own)
     })
 }
 
@@ -698,6 +728,8 @@ impl NodeProgram for CollectProgram {
                 CollectMsg::EndOfStream => self.open_children -= 1,
             }
         }
+        // A node with its queue drained and a child stream still open has
+        // nothing to send until that child sends again.
         if let Some(p) = self.tree.parent {
             if self.cursor < self.queue.len() {
                 mb.send(p, CollectMsg::Item(self.queue[self.cursor]));
@@ -706,8 +738,11 @@ impl NodeProgram for CollectProgram {
                 mb.send(p, CollectMsg::EndOfStream);
                 self.finished_self = true;
             }
-            if self.finished_self && self.cursor == self.queue.len() {
+            let drained = self.cursor == self.queue.len();
+            if self.finished_self && drained {
                 Status::Done
+            } else if drained && self.open_children > 0 {
+                Status::Waiting
             } else {
                 Status::Running
             }
@@ -716,7 +751,7 @@ impl NodeProgram for CollectProgram {
             if self.open_children == 0 {
                 Status::Done
             } else {
-                Status::Running
+                Status::Waiting
             }
         }
     }
@@ -724,6 +759,25 @@ impl NodeProgram for CollectProgram {
     fn finish(mut self, _ctx: &NodeCtx) -> Vec<SeqItem> {
         self.collected.sort_unstable();
         self.collected
+    }
+}
+
+/// The node program behind [`collect_at_leader`] for a node at position
+/// `tree` contributing `items`, for callers that drive a
+/// [`crate::Network`] themselves. Its output is what the node collected
+/// (everything, sorted, at the root; nothing elsewhere).
+pub fn collect_program(
+    tree: TreeInfo,
+    items: Vec<(u64, u128)>,
+) -> impl NodeProgram<Output = Vec<(u64, u128)>> {
+    CollectProgram {
+        open_children: tree.children.len(),
+        tree,
+        own: items,
+        queue: Vec::new(),
+        cursor: 0,
+        finished_self: false,
+        collected: Vec::new(),
     }
 }
 
@@ -750,15 +804,7 @@ pub fn collect_at_leader(
     assert_eq!(tree.len(), graph.n());
     assert_eq!(items.len(), graph.n());
     let (out, stats) = run_phase(graph, leader, config, "pipelined_collect", |v, _| {
-        CollectProgram {
-            tree: tree[v].clone(),
-            own: items[v].clone(),
-            queue: Vec::new(),
-            cursor: 0,
-            open_children: tree[v].children.len(),
-            finished_self: false,
-            collected: Vec::new(),
-        }
+        collect_program(tree[v].clone(), items[v].clone())
     })?;
     Ok((out[leader].clone(), stats))
 }
@@ -792,6 +838,21 @@ mod tests {
             assert_eq!(tree[v].depth, 1);
         }
         assert!(stats.rounds <= 4);
+    }
+
+    #[test]
+    fn bfs_tree_on_disconnected_graph_stalls() {
+        // Nodes 3 and 4 never hear the token: the run stalls once the
+        // leader's component has finished, not at the round cap.
+        let g = WeightedGraph::from_edges(5, [(0, 1, 1), (1, 2, 1), (3, 4, 1)]).unwrap();
+        let err = bfs_tree(&g, 0, &std_cfg(&g)).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::Stalled {
+                round: 4,
+                waiting: 2
+            }
+        );
     }
 
     #[test]
