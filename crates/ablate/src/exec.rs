@@ -1,18 +1,15 @@
 //! Job execution: maps each expanded [`Job`] onto one of the existing
-//! substrates and fans graph-sharing groups across batch lanes.
+//! substrates and runs the jobs on lanes.
 //!
-//! The lane discipline replicates `wdr_conformance::batch`: jobs are
-//! grouped by derived *graph identity* (so group-mates amortize one
-//! [`SharedSetup`] build, including its cached
-//! `congest_graph::context::GraphContext` sweeps), groups are spawned across a
-//! dedicated rayon pool with one disjoint result bucket per group, and
-//! results are reduced back into job-index order. Only deterministic
-//! quantities enter the outcome (no timings), so the reduced result — and
-//! therefore the runbook bytes — is identical across lane counts,
-//! including the sequential `lanes = None` path.
+//! [`run_jobs`] hands the job list to `wdr_conformance::batch::map_ordered`,
+//! so a lane is a thread and outcomes come back in job-index order. Each
+//! graph job builds its own [`SharedSetup`]. Only deterministic quantities
+//! enter an outcome (no timings), so the runbook bytes are identical across
+//! lane counts, including the sequential `lanes = None` path.
 
-use crate::expand::{splitmix64, Job};
+use crate::expand::Job;
 use crate::plan::Substrate;
+use congest_graph::digest::splitmix64;
 use congest_sim::primitives::{self, Aggregate};
 use congest_wdr::algorithm::{quantum_weighted, Objective};
 use congest_wdr::params::WdrParams;
@@ -82,8 +79,7 @@ fn family_from(job: &Job) -> Result<Family, String> {
 }
 
 /// The scenario a graph-substrate job (Quantum / Sweep / RoundEngine)
-/// describes. The *graph* half (family, n, max_weight, seed) is shared
-/// across group-mates; faults and workload vary per job.
+/// describes.
 fn scenario_from(job: &Job, workload: Workload) -> Result<ScenarioSpec, String> {
     let fault_rate = get_f64(job, "fault_rate", 0.0)?;
     let faults = if fault_rate > 0.0 {
@@ -94,7 +90,8 @@ fn scenario_from(job: &Job, workload: Workload) -> Result<ScenarioSpec, String> 
     Ok(ScenarioSpec {
         // The spec seed drives graph construction (for seeded families)
         // and the fault plan — NOT the per-job RNG, which comes from
-        // `job.seed` — so group-mates keep byte-identical graphs.
+        // `job.seed` — so jobs that differ only in other factors run on
+        // byte-identical graphs.
         seed: get_usize(job, "graph_seed", 5)? as u64,
         family: family_from(job)?,
         n: get_usize(job, "n", 16)?,
@@ -104,22 +101,6 @@ fn scenario_from(job: &Job, workload: Workload) -> Result<ScenarioSpec, String> 
         workload,
     }
     .normalized())
-}
-
-/// Group key: jobs with equal keys build byte-identical graphs and share
-/// one setup. Substrates without shared setup — and jobs whose graph
-/// params don't even parse (they must still reach `run_group` to fail
-/// individually) — get per-job groups.
-fn group_key(substrate: Substrate, job: &Job) -> String {
-    match substrate {
-        Substrate::Quantum | Substrate::Sweep | Substrate::RoundEngine => {
-            match scenario_from(job, Workload::BaselineExact) {
-                Ok(spec) => wdr_conformance::batch::graph_key(&spec),
-                Err(_) => job.id.clone(),
-            }
-        }
-        Substrate::Conformance | Substrate::ServeCache => job.id.clone(),
-    }
 }
 
 fn objective_from(job: &Job) -> Result<(Objective, Workload), String> {
@@ -178,7 +159,7 @@ fn run_quantum(job: &Job, setup: &SharedSetup) -> Result<BTreeMap<String, f64>, 
     Ok(m)
 }
 
-/// Pruned sweep extremes on the job's graph (cached in the shared setup).
+/// Pruned sweep extremes on the job's graph (computed by the setup).
 fn run_sweep(_job: &Job, setup: &SharedSetup) -> Result<BTreeMap<String, f64>, String> {
     let extremes = setup.extremes();
     let g = setup.graph();
@@ -336,147 +317,40 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     format!("substrate panicked: {text}")
 }
 
-/// Runs one job against an optional pre-built shared setup. Substrate
-/// panics are contained into deterministic job errors (the conformance
-/// no-panic discipline), so one bad job never kills a lane pool.
-fn run_job(substrate: Substrate, job: &Job, setup: Option<&SharedSetup>) -> JobOutcome {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match substrate {
-        Substrate::Quantum => setup
-            .ok_or("missing shared setup".to_string())
-            .and_then(|s| run_quantum(job, s)),
-        Substrate::Sweep => setup
-            .ok_or("missing shared setup".to_string())
-            .and_then(|s| run_sweep(job, s)),
-        Substrate::RoundEngine => setup
-            .ok_or("missing shared setup".to_string())
-            .and_then(|s| run_round_engine(job, s)),
-        Substrate::Conformance => run_conformance(job),
-        Substrate::ServeCache => run_serve_cache(job),
+/// Runs one job, building its graph setup first when the substrate needs
+/// one. Setup and substrate panics alike are contained into deterministic
+/// job errors (the conformance no-panic discipline), so one bad job never
+/// ends the run.
+fn run_job(substrate: Substrate, job: &Job) -> JobOutcome {
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let setup = || scenario_from(job, Workload::BaselineExact).map(|s| SharedSetup::build(&s));
+        match substrate {
+            Substrate::Quantum => run_quantum(job, &setup()?),
+            Substrate::Sweep => run_sweep(job, &setup()?),
+            Substrate::RoundEngine => run_round_engine(job, &setup()?),
+            Substrate::Conformance => run_conformance(job),
+            Substrate::ServeCache => run_serve_cache(job),
+        }
     }))
     .unwrap_or_else(|payload| Err(panic_message(payload)));
-    match result {
-        Ok(mut metrics) => {
-            metrics.insert("failed".to_string(), 0.0);
-            JobOutcome {
-                index: job.index,
-                metrics,
-                error: None,
-            }
-        }
-        Err(error) => {
-            let mut metrics = BTreeMap::new();
-            metrics.insert("failed".to_string(), 1.0);
-            JobOutcome {
-                index: job.index,
-                metrics,
-                error: Some(error),
-            }
-        }
-    }
-}
-
-/// Runs a whole graph-identity group, building the shared setup once.
-fn run_group(substrate: Substrate, jobs: &[&Job]) -> Vec<JobOutcome> {
-    let setup = match substrate {
-        Substrate::Quantum | Substrate::Sweep | Substrate::RoundEngine => {
-            match scenario_from(jobs[0], Workload::BaselineExact) {
-                Ok(spec) => Some(SharedSetup::build(&spec)),
-                Err(e) => {
-                    // Malformed graph params fail every group member the
-                    // same way; report per job for a readable runbook.
-                    return jobs
-                        .iter()
-                        .map(|job| {
-                            let mut metrics = BTreeMap::new();
-                            metrics.insert("failed".to_string(), 1.0);
-                            JobOutcome {
-                                index: job.index,
-                                metrics,
-                                error: Some(e.clone()),
-                            }
-                        })
-                        .collect();
-                }
-            }
-        }
-        Substrate::Conformance | Substrate::ServeCache => None,
+    let (mut metrics, error) = match result {
+        Ok(metrics) => (metrics, None),
+        Err(error) => (BTreeMap::new(), Some(error)),
     };
-    jobs.iter()
-        .map(|job| run_job(substrate, job, setup.as_ref()))
-        .collect()
+    metrics.insert("failed".to_string(), f64::from(u8::from(error.is_some())));
+    JobOutcome {
+        index: job.index,
+        metrics,
+        error,
+    }
 }
 
-/// Groups job indices by [`group_key`], groups in first-appearance order
-/// (the `batch::group_by_graph` discipline).
-fn group_jobs(substrate: Substrate, jobs: &[Job]) -> Vec<Vec<usize>> {
-    let mut order: Vec<String> = Vec::new();
-    let mut groups: std::collections::HashMap<String, Vec<usize>> =
-        std::collections::HashMap::new();
-    for (idx, job) in jobs.iter().enumerate() {
-        let key = group_key(substrate, job);
-        let bucket = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            Vec::new()
-        });
-        bucket.push(idx);
-    }
-    order
-        .into_iter()
-        .map(|key| groups.remove(&key).expect("group recorded in order"))
-        .collect()
-}
-
-/// Runs every job, sequentially (`lanes = None`) or with graph-identity
-/// groups fanned across a dedicated `l`-lane rayon pool. Outcomes come
-/// back in job-index order and are bit-identical across both paths and
-/// every lane count (nothing time- or schedule-dependent enters them).
-pub fn run_jobs(
-    substrate: Substrate,
-    jobs: &[Job],
-    lanes: Option<usize>,
-) -> Result<Vec<JobOutcome>, String> {
-    let groups = group_jobs(substrate, jobs);
-    let mut slots: Vec<Option<JobOutcome>> = (0..jobs.len()).map(|_| None).collect();
-    match lanes {
-        None => {
-            for group in &groups {
-                let members: Vec<&Job> = group.iter().map(|&i| &jobs[i]).collect();
-                for outcome in run_group(substrate, &members) {
-                    let idx = outcome.index;
-                    slots[idx] = Some(outcome);
-                }
-            }
-        }
-        Some(l) => {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(l.max(1))
-                .build()
-                .map_err(|e| format!("build lane pool: {e}"))?;
-            let mut buckets: Vec<Vec<JobOutcome>> =
-                groups.iter().map(|g| Vec::with_capacity(g.len())).collect();
-            pool.install(|| {
-                rayon::scope(|s| {
-                    for (group, bucket) in groups.iter().zip(buckets.iter_mut()) {
-                        s.spawn(move || {
-                            let members: Vec<&Job> = group.iter().map(|&i| &jobs[i]).collect();
-                            *bucket = run_group(substrate, &members);
-                        });
-                    }
-                });
-            });
-            // Index-ordered reduction: lane scheduling never touches the
-            // output order.
-            for outcome in buckets.into_iter().flatten() {
-                let idx = outcome.index;
-                slots[idx] = Some(outcome);
-            }
-        }
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| slot.ok_or(format!("job {i} produced no outcome")))
-        .collect()
+/// Runs every job on `lanes` threads (`None` or `Some(1)`: inline on the
+/// calling thread). Outcomes come back in job-index order and are
+/// bit-identical across every lane count (nothing time- or
+/// schedule-dependent enters them).
+pub fn run_jobs(substrate: Substrate, jobs: &[Job], lanes: Option<usize>) -> Vec<JobOutcome> {
+    wdr_conformance::batch::map_ordered(jobs, lanes, |job| run_job(substrate, job))
 }
 
 #[cfg(test)]
@@ -511,7 +385,7 @@ mod tests {
     #[test]
     fn sweep_jobs_measure_path_extremes() {
         let jobs = expand(&sweep_plan(), 1).unwrap();
-        let outcomes = run_jobs(Substrate::Sweep, &jobs, None).unwrap();
+        let outcomes = run_jobs(Substrate::Sweep, &jobs, None);
         assert_eq!(outcomes.len(), 4);
         for (job, out) in jobs.iter().zip(&outcomes) {
             assert_eq!(out.error, None);
@@ -526,9 +400,9 @@ mod tests {
     #[test]
     fn lanes_match_sequential() {
         let jobs = expand(&sweep_plan(), 9).unwrap();
-        let seq = run_jobs(Substrate::Sweep, &jobs, None).unwrap();
+        let seq = run_jobs(Substrate::Sweep, &jobs, None);
         for lanes in [1, 2, 4] {
-            assert_eq!(run_jobs(Substrate::Sweep, &jobs, Some(lanes)).unwrap(), seq);
+            assert_eq!(run_jobs(Substrate::Sweep, &jobs, Some(lanes)), seq);
         }
     }
 
@@ -538,7 +412,7 @@ mod tests {
         plan.fixed
             .insert("family".to_string(), Value::String("banana".into()));
         let jobs = expand(&plan, 1).unwrap();
-        let outcomes = run_jobs(Substrate::Sweep, &jobs, Some(2)).unwrap();
+        let outcomes = run_jobs(Substrate::Sweep, &jobs, Some(2));
         assert!(outcomes
             .iter()
             .all(|o| o.error.as_deref().is_some_and(|e| e.contains("banana"))));
@@ -554,7 +428,7 @@ mod tests {
             vec![Value::Number(0.0), Value::Number(0.05)],
         );
         let jobs = expand(&plan, 2).unwrap();
-        let outcomes = run_jobs(Substrate::RoundEngine, &jobs, Some(2)).unwrap();
+        let outcomes = run_jobs(Substrate::RoundEngine, &jobs, Some(2));
         let clean: Vec<&JobOutcome> = outcomes.iter().filter(|o| o.error.is_none()).collect();
         assert!(!clean.is_empty());
         for out in clean {
@@ -582,7 +456,7 @@ mod tests {
             tolerances: BTreeMap::new(),
         };
         let jobs = expand(&plan, 4).unwrap();
-        let outcomes = run_jobs(Substrate::ServeCache, &jobs, None).unwrap();
+        let outcomes = run_jobs(Substrate::ServeCache, &jobs, None);
         assert_eq!(outcomes.len(), 1);
         let out = &outcomes[0];
         assert_eq!(out.error, None);

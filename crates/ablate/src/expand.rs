@@ -7,6 +7,7 @@
 //! reruns and lane counts.
 
 use crate::plan::{AblationMode, AblationPlan};
+use congest_graph::digest::splitmix64;
 use serde_json::Value;
 use std::collections::BTreeMap;
 use wdr_metrics::trajectory::fnv1a_64;
@@ -14,16 +15,6 @@ use wdr_metrics::trajectory::fnv1a_64;
 /// Weyl increment of the SplitMix64 stream (same constant the scenario
 /// generator uses).
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// One step of the SplitMix64 generator (Steele–Lea–Flood; the same
-/// finalizer `conformance::scenario` uses for seed-derived streams).
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(GOLDEN);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// One expanded job: a full parameter assignment plus a derived seed.
 #[derive(Clone, Debug, PartialEq)]

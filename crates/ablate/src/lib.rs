@@ -55,9 +55,9 @@ use std::process::ExitCode;
 /// Execution options for [`run_ablation_with`].
 #[derive(Clone, Debug, Default)]
 pub struct RunOptions {
-    /// `None` = sequential reference path; `Some(l)` fans graph-identity
-    /// groups across `l` lanes. Either way the report bytes are
-    /// identical.
+    /// `None` or `Some(1)` runs the jobs one at a time on the calling
+    /// thread; `Some(l)` runs them on `l` threads. Either way the report
+    /// bytes are identical.
     pub lanes: Option<usize>,
     /// Override the captured provenance header (used by the golden
     /// fixture, which must not depend on the recording host).
@@ -69,9 +69,9 @@ pub struct RunOptions {
 ///
 /// # Errors
 ///
-/// Fails on malformed plans (empty factors, missing LHS sample count) or
-/// an un-buildable lane pool; per-job substrate failures do *not* error —
-/// they land in the job rows with `failed = 1`.
+/// Fails on malformed plans (empty factors, missing LHS sample count);
+/// per-job substrate failures do *not* error — they land in the job rows
+/// with `failed = 1`.
 pub fn run_ablation(plan: &AblationPlan, root_seed: u64) -> Result<RunbookReport, String> {
     run_ablation_with(plan, root_seed, &RunOptions::default())
 }
@@ -87,7 +87,7 @@ pub fn run_ablation_with(
     options: &RunOptions,
 ) -> Result<RunbookReport, String> {
     let jobs = expand::expand(plan, root_seed)?;
-    let outcomes = exec::run_jobs(plan.substrate, &jobs, options.lanes)?;
+    let outcomes = exec::run_jobs(plan.substrate, &jobs, options.lanes);
     let job_rows = report::job_reports(&jobs, &outcomes);
     let (verdicts, passed) = report::check_tolerances(plan, &job_rows);
 

@@ -1,18 +1,17 @@
-//! Criterion micro-benchmarks of the conformance batch engine: the same
-//! corpus slice driven through the one-at-a-time path and through the
-//! lockstep batch path at several lane counts. The E12 experiment gates
-//! the end-to-end corpus speedup; these benches keep the per-layer costs
-//! visible — shared-setup amortization shows up even at one lane, and the
-//! lane sweep localizes scheduling overhead when the gate regresses.
+//! Criterion micro-benchmarks of conformance lanes: the same corpus slice
+//! run one scenario at a time and on several lane counts, where a lane is
+//! a thread. The E12 experiment gates the end-to-end corpus speedup; these
+//! benches keep the cost visible at slice scale — one lane runs inline and
+//! should match sequential, and the lane sweep localizes scheduling
+//! overhead when the gate regresses.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wdr_conformance::runner::{self, SuiteOptions};
 use wdr_conformance::scenario::ScenarioSpec;
 
-/// A small corpus prefix: big enough to contain shareable graph groups
-/// (deterministic families repeat across seeds), small enough that a
-/// criterion iteration stays in the tens of milliseconds.
+/// A small corpus prefix: it mixes every workload, and a criterion
+/// iteration stays in the tens of milliseconds.
 fn corpus() -> Vec<ScenarioSpec> {
     runner::generate_corpus(12)
 }
@@ -27,15 +26,15 @@ fn run(specs: &[ScenarioSpec], lanes: Option<usize>) -> usize {
     report.outcomes.len()
 }
 
-/// The reference path: cold per-scenario setup, corpus order.
+/// The reference path: every scenario on the calling thread, corpus
+/// order.
 fn sequential(c: &mut Criterion) {
     let specs = corpus();
     c.bench_function("batch_sequential_12", |b| b.iter(|| run(&specs, None)));
 }
 
-/// The batch engine across lane counts. One lane isolates the grouping +
-/// shared-setup win from parallel fan-out; higher lane counts add the
-/// rayon scope on top (a wash on few-core hosts, the E12 gate elsewhere).
+/// The corpus across lane counts. One lane takes the inline path; each
+/// further lane adds one thread (a wash beyond the host's thread count).
 fn batched(c: &mut Criterion) {
     let specs = corpus();
     for lanes in [1usize, 2, 4] {
@@ -45,14 +44,5 @@ fn batched(c: &mut Criterion) {
     }
 }
 
-/// Grouping alone: the spec → graph-key partition the engine fans over.
-/// Pure CPU, no scenario execution — a canary for key-derivation cost.
-fn grouping(c: &mut Criterion) {
-    let specs = runner::generate_corpus(48);
-    c.bench_function("batch_group_by_graph_48", |b| {
-        b.iter(|| wdr_conformance::batch::group_by_graph(black_box(&specs)).len())
-    });
-}
-
-criterion_group!(benches, sequential, batched, grouping);
+criterion_group!(benches, sequential, batched);
 criterion_main!(benches);

@@ -9,6 +9,7 @@ use congest_algos::baselines::{diameter_radius_exact, two_approx_diameter_radius
 use congest_algos::bounded_sssp::{bounded_distance_sssp, bounded_hop_sssp};
 use congest_algos::multi_source::multi_source_bounded_hop;
 use congest_algos::overlay_net::{embed_overlay, overlay_sssp};
+use congest_graph::digest::splitmix64;
 use congest_graph::overlay::SkeletonDistances;
 use congest_graph::rounding::RoundingScheme;
 use congest_graph::{contract, generators, metrics, WeightedGraph};
@@ -682,19 +683,12 @@ struct GossipMix {
     work: u32,
 }
 
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 impl congest_sim::NodeProgram for GossipMix {
     type Msg = u64;
     type Output = u64;
 
     fn start(&mut self, ctx: &congest_sim::NodeCtx, mb: &mut congest_sim::Mailbox<u64>) {
-        self.digest = mix(ctx.id as u64 + 1);
+        self.digest = splitmix64(&mut (ctx.id as u64 + 1));
         mb.broadcast(ctx, self.digest);
     }
 
@@ -706,10 +700,10 @@ impl congest_sim::NodeProgram for GossipMix {
         mb: &mut congest_sim::Mailbox<u64>,
     ) -> congest_sim::Status {
         for &(_, d) in inbox {
-            self.digest = mix(self.digest ^ d);
+            self.digest = splitmix64(&mut (self.digest ^ d));
         }
         for _ in 0..self.work {
-            self.digest = mix(self.digest);
+            self.digest = splitmix64(&mut self.digest);
         }
         if round < self.rounds {
             mb.broadcast(ctx, self.digest);
@@ -1539,13 +1533,9 @@ pub fn e11(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
 struct E12Row {
     lanes: usize,
     wall_secs: f64,
-    setup_secs: f64,
-    execute_secs: f64,
     scenarios_per_sec: f64,
     /// Sequential wall time over this row's wall time.
     speedup: f64,
-    /// Scenarios that reused a setup built by an earlier lane-mate.
-    shared_setups: usize,
 }
 
 /// The machine-readable E12 report (`BENCH_batch.json`).
@@ -1555,6 +1545,7 @@ struct E12Report {
     meta: wdr_metrics::RunMeta,
     host_threads: usize,
     scenarios: usize,
+    /// Distinct graphs in the corpus (by [`congest_graph::GraphDigest`]).
     groups: usize,
     sequential_secs: f64,
     /// Speedup at the widest lane count (the gated trajectory ratio).
@@ -1565,103 +1556,95 @@ struct E12Report {
     metrics: Vec<(String, f64)>,
 }
 
-/// E12: batch-engine throughput — the many-seed conformance corpus run in
-/// lockstep through `wdr_conformance::batch`. The whole corpus runs once
-/// one-at-a-time (the reference), then batched at 1/2/4/8 lanes; every
-/// batched run must be bit-identical to the reference
-/// (`runner::fingerprint` equality — verdicts, measurements, envelope
-/// fits, metric snapshot values), and on hosts with ≥ 8 threads the
-/// 8-lane run must be ≥ 5× faster. Writes `BENCH_batch.json`.
+/// E12: lane throughput — the conformance corpus run one scenario at a
+/// time (the reference), then on 1/2/4/8 lanes, where a lane is a thread
+/// (`wdr_conformance::batch::map_ordered`). Three interleaved rounds run
+/// every configuration; each reports its fastest wall time. Every run
+/// must be bit-identical to the reference (`runner::fingerprint` equality
+/// — verdicts, measurements, envelope fits, metric snapshot values). On
+/// hosts with ≥ 2 threads the 2-lane run must be ≥ 1.5× faster than the
+/// reference, and on hosts with ≥ 8 threads the 8-lane run ≥ 5× faster.
+/// Writes `BENCH_batch.json`.
 pub fn e12(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
     use std::time::Instant;
     use wdr_conformance::runner::{self, SuiteOptions};
     let host_threads = std::thread::available_parallelism().map_or(1, |t| t.get());
     let count: u64 = if quick { 48 } else { 500 };
     let specs = runner::generate_corpus(count);
-    let groups = wdr_conformance::batch::group_by_graph(&specs).len();
-    let run = |lanes: Option<usize>| {
-        let options = SuiteOptions {
-            lanes,
-            ..SuiteOptions::default()
-        };
-        let t0 = Instant::now();
-        let report = runner::run_suite(&specs, &options);
-        (report, t0.elapsed().as_secs_f64())
-    };
-
-    let (seq_report, seq_secs) = run(None);
-    assert!(
-        seq_report.passed(),
-        "E12 reference corpus run failed: {:?}",
-        seq_report.failures
-    );
-    let reference = runner::fingerprint(&seq_report);
+    let groups = specs
+        .iter()
+        .map(|s| s.build_graph().digest())
+        .collect::<std::collections::BTreeSet<_>>()
+        .len();
+    // Three rounds over every lane count (0 = sequential), interleaved so
+    // that other load on the host falls on all of them alike; each keeps
+    // its fastest wall time. Every run must match the fingerprint of the
+    // first, sequential one.
+    let lane_counts = [0usize, 1, 2, 4, 8];
+    let mut best = [f64::INFINITY; 5];
+    let mut reference: Option<String> = None;
+    for _ in 0..3 {
+        for (&lanes, best) in lane_counts.iter().zip(&mut best) {
+            let options = SuiteOptions {
+                lanes: (lanes > 0).then_some(lanes),
+                ..SuiteOptions::default()
+            };
+            let t0 = Instant::now();
+            let report = runner::run_suite(&specs, &options);
+            *best = best.min(t0.elapsed().as_secs_f64());
+            let fingerprint = runner::fingerprint(&report);
+            match &reference {
+                None => {
+                    assert!(
+                        report.passed(),
+                        "E12 reference corpus run failed: {:?}",
+                        report.failures
+                    );
+                    reference = Some(fingerprint);
+                }
+                Some(expected) => assert_eq!(
+                    &fingerprint, expected,
+                    "E12: corpus run at {lanes} lanes diverged from the sequential reference"
+                ),
+            }
+        }
+    }
+    let seq_secs = best[0];
 
     let mut table = Table::new(
         "E12",
-        "Batch-engine throughput: graph-grouped lockstep corpus execution vs one-at-a-time",
-        &[
-            "lanes",
-            "wall",
-            "setup",
-            "execute",
-            "scen/s",
-            "speedup",
-            "shared setups",
-        ],
+        "Lane throughput: the conformance corpus on 1/2/4/8 threads vs one at a time",
+        &["lanes", "wall", "scen/s", "speedup"],
     );
-    let mut rows: Vec<E12Row> = Vec::new();
-    let push_row = |lanes: usize,
-                    wall: f64,
-                    setup: f64,
-                    execute: f64,
-                    shared: usize,
-                    rows: &mut Vec<E12Row>| {
-        rows.push(E12Row {
+    let rows: Vec<E12Row> = lane_counts
+        .iter()
+        .zip(best)
+        .map(|(&lanes, wall)| E12Row {
             lanes,
             wall_secs: wall,
-            setup_secs: setup,
-            execute_secs: execute,
             scenarios_per_sec: specs.len() as f64 / wall.max(1e-9),
             speedup: seq_secs / wall.max(1e-9),
-            shared_setups: shared,
-        });
+        })
+        .collect();
+    let speedup_at = |lanes: usize| {
+        rows.iter()
+            .find(|r| r.lanes == lanes)
+            .map_or(0.0, |r| r.speedup)
     };
-    let seq_shared = seq_report.timings.iter().filter(|t| t.shared_setup).count();
-    push_row(
-        0,
-        seq_secs,
-        seq_report.setup_secs(),
-        seq_report.execute_secs(),
-        seq_shared,
-        &mut rows,
+    // The throughput gates, host-conditional like E8/E10: a lane is a
+    // thread, so k lanes can only beat sequential by up to k× on a host
+    // with k hardware threads.
+    let two_lane_speedup = speedup_at(2);
+    assert!(
+        host_threads < 2 || two_lane_speedup >= 1.5,
+        "E12: the corpus run at 2 lanes is only {two_lane_speedup:.2}× faster than \
+         one-at-a-time on a {host_threads}-thread host (gate ≥ 1.5×)"
     );
-    let mut batch_speedup = 0.0f64;
-    let mut lane_count = 0usize;
-    for lanes in [1usize, 2, 4, 8] {
-        let (report, wall) = run(Some(lanes));
-        assert_eq!(
-            runner::fingerprint(&report),
-            reference,
-            "E12: batched corpus run at {lanes} lanes diverged from the sequential reference"
-        );
-        let shared = report.timings.iter().filter(|t| t.shared_setup).count();
-        push_row(
-            lanes,
-            wall,
-            report.setup_secs(),
-            report.execute_secs(),
-            shared,
-            &mut rows,
-        );
-        batch_speedup = seq_secs / wall.max(1e-9);
-        lane_count = lanes;
-    }
-    // The throughput gate, host-conditional like E8/E10: ≥ 5× at 8 lanes
-    // (target ~10×) only means something with ≥ 8 hardware threads.
+    let lane_count = 8;
+    let batch_speedup = speedup_at(lane_count);
     assert!(
         host_threads < 8 || batch_speedup >= 5.0,
-        "E12: batched corpus run at {lane_count} lanes is only {batch_speedup:.2}× \
+        "E12: the corpus run at {lane_count} lanes is only {batch_speedup:.2}× \
          faster than one-at-a-time on a {host_threads}-thread host (gate ≥ 5×)"
     );
 
@@ -1673,11 +1656,8 @@ pub fn e12(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
                 r.lanes.to_string()
             },
             format!("{:.2}s", r.wall_secs),
-            format!("{:.2}s", r.setup_secs),
-            format!("{:.2}s", r.execute_secs),
             format!("{:.1}", r.scenarios_per_sec),
             format!("{:.2}×", r.speedup),
-            r.shared_setups.to_string(),
         ]);
     }
     let seeds: Vec<u64> = specs.iter().map(|s| s.seed).collect();
@@ -1707,15 +1687,16 @@ pub fn e12(quick: bool, out_dir: &std::path::Path) -> ExperimentOutput {
     )
     .expect("write BENCH_batch.json");
     table.commentary = format!(
-        "The {count}-seed conformance corpus collapses into {groups} graph groups \
-         (deterministic families share one graph + cached metrics across seeds; \
-         seeded-random families stay singleton but still amortize D/extremes \
-         across the two oracle replays). Every batched run is asserted \
-         bit-identical to the sequential reference — same verdicts, round \
-         measurements, envelope fits, and metric snapshot values — so the only \
-         thing lanes can change is wall time. The 8-lane speedup {batch_speedup:.2}× \
-         is recorded as e12.batch_speedup (gated ≥ 5× only on hosts with ≥ 8 \
-         threads; this host reports {host_threads}).",
+        "Each lane is one thread claiming the next unrun scenario; results go \
+         back into corpus order, and every laned run is asserted bit-identical \
+         to the sequential reference — same verdicts, round measurements, \
+         envelope fits, and metric snapshot values — so lanes change only wall \
+         time. One lane takes the same inline path as sequential. Each row is the \
+         fastest of three interleaved runs. The {count}-seed corpus holds \
+         {groups} distinct graphs. Gates: 2 lanes ≥ 1.5× on hosts with ≥ 2 \
+         threads ({two_lane_speedup:.2}× here), 8 lanes ≥ 5× on hosts with ≥ 8 \
+         threads ({batch_speedup:.2}× here, recorded as e12.batch_speedup); \
+         this host reports {host_threads} threads.",
     );
     ExperimentOutput {
         tables: vec![table],

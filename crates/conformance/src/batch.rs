@@ -1,351 +1,162 @@
-//! Many-seed batch execution engine: lockstep scenario execution with
-//! results bit-identical to the one-at-a-time path.
+//! Lane execution: [`map_ordered`], an index-ordered parallel map where a
+//! lane is a thread, and [`run_specs`], the corpus loop built on it.
 //!
-//! The engine splits a corpus run into the two halves the algorithm's own
-//! structure suggests (the paper fixes the skeleton and distance-scale
-//! schedule per graph while only the Grover randomness varies per run):
-//!
-//! * **shared-immutable, once per family cell** — specs are grouped by
-//!   [`graph_key`] (specs with equal keys build byte-identical graphs), and
-//!   each group gets one [`SharedSetup`]: the [`WeightedGraph`] plus the
-//!   lazily-cached derived metrics of
-//!   [`congest_graph::context::GraphContext`] (`D`, weighted/unweighted
-//!   extremes). The Lemma 3.1 amplification budgets are likewise derived
-//!   once per `(ρ, δ)` cell through
-//!   [`quantum_sim::search::SearchSchedule::cached`];
-//! * **per-seed mutable, one lane per scenario** — RNG streams, Grover
-//!   measurement tallies, oracle verdicts, and timings live in the lane
-//!   results, laid out struct-of-arrays by corpus index
-//!   ([`LaneResults`]).
-//!
-//! Groups are fanned across a dedicated vendored-rayon pool. Each spawned
-//! task installs its *own* mutation and search-metrics guards (both are
-//! thread-local scope guards), so mutation self-checks and live counters
-//! behave identically under batching; the counters are shared atomics, so
-//! corpus-wide totals are independent of lane scheduling. Lane results are
-//! written back into their original corpus slots — the index-ordered
-//! reduction discipline of `parallel_equiv.rs` — so the returned order, and
-//! every value in it, is bit-identical to the sequential path. The
-//! `tests/batch_equiv.rs` proptests pin exactly that.
-//!
-//! [`WeightedGraph`]: congest_graph::WeightedGraph
-//! [`SharedSetup`]: crate::oracle::SharedSetup
+//! Every scenario runs through its ordinary entry point,
+//! [`oracle::run_scenario`], whatever the lane count. Results land back in
+//! their input slots, so the returned order, and every value in it, is
+//! independent of lane count and scheduling; `tests/batch_equiv.rs` pins
+//! that against the sequential path.
 
-use crate::oracle::{self, ScenarioOutcome, SharedSetup};
-use crate::scenario::{Family, ScenarioSpec};
+use crate::oracle::{self, ScenarioOutcome};
+use crate::scenario::ScenarioSpec;
 use quantum_sim::mutation::Mutation;
 use quantum_sim::SearchMetrics;
-use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Per-scenario wall-time breakdown: what was spent building the shared
-/// setup (graph + topology metrics) vs executing the oracles.
-///
-/// Timings are observational only — they are *excluded* from the
+/// Wall time of one scenario. Observational only: excluded from the
 /// batch-equivalence fingerprint ([`crate::runner::fingerprint`]).
 #[derive(Copy, Clone, Debug)]
 pub struct ScenarioTiming {
     /// The scenario's seed (corpus identity).
     pub seed: u64,
-    /// Seconds spent building graph + `D` for this scenario. Zero when the
-    /// scenario reused a setup built by an earlier lane-mate.
-    pub setup_secs: f64,
-    /// Seconds spent running the oracles (both replays).
-    pub execute_secs: f64,
-    /// `true` when this scenario ran against a setup shared from an
-    /// earlier member of its graph group.
-    pub shared_setup: bool,
+    /// Seconds spent in [`oracle::run_scenario`] (both replays).
+    pub secs: f64,
 }
 
-impl ScenarioTiming {
-    /// Total wall time attributed to this scenario.
-    pub fn total_secs(&self) -> f64 {
-        self.setup_secs + self.execute_secs
-    }
-}
-
-/// Per-seed lane results in struct-of-arrays form, corpus order: lane `i`
-/// of each array belongs to `specs[i]`.
-#[derive(Debug, Default)]
-pub struct LaneResults {
-    /// Oracle outcomes, one per spec.
-    pub outcomes: Vec<ScenarioOutcome>,
-    /// Setup-vs-execute breakdown, one per spec.
-    pub timings: Vec<ScenarioTiming>,
-}
-
-/// The spec's *graph identity*: two specs with equal keys build
-/// byte-identical graphs, so one [`SharedSetup`] serves both.
+/// Maps `f` over `items` and returns the results in input order.
 ///
-/// Deterministic families ([`Family::Path`], `Cycle`, `Star`, `Grid`,
-/// `BinaryTree`) depend only on `(family, n, max_weight)`; the
-/// seeded-random families (`ErdosRenyi`, `ClusterRing`) additionally fold
-/// in the seed that drives their ChaCha stream. Fault plan, parallelism
-/// mode, and workload never touch graph construction and are deliberately
-/// absent.
-pub fn graph_key(spec: &ScenarioSpec) -> String {
-    match spec.family {
-        Family::ErdosRenyi { .. } | Family::ClusterRing { .. } => format!(
-            "{:?}|n{}|w{}|seed{}",
-            spec.family, spec.n, spec.max_weight, spec.seed
-        ),
-        _ => format!("{:?}|n{}|w{}", spec.family, spec.n, spec.max_weight),
+/// `lanes` of `None`, `Some(0)` or `Some(1)` runs inline on the calling
+/// thread, in index order. `Some(l)` starts `l` scoped threads (at most one
+/// per item); each claims the next unclaimed index from a shared counter
+/// and hands its result back for that index's slot. A panic in `f`
+/// propagates to the caller on either path.
+pub fn map_ordered<T, R, F>(items: &[T], lanes: Option<usize>, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let lanes = lanes.unwrap_or(1).min(items.len());
+    if lanes <= 1 {
+        return items.iter().map(f).collect();
     }
-}
-
-/// Groups corpus indices by [`graph_key`], groups in first-appearance
-/// order, indices ascending within each group.
-pub fn group_by_graph(specs: &[ScenarioSpec]) -> Vec<Vec<usize>> {
-    let mut order: Vec<String> = Vec::new();
-    let mut groups: std::collections::HashMap<String, Vec<usize>> =
-        std::collections::HashMap::new();
-    for (idx, spec) in specs.iter().enumerate() {
-        let key = graph_key(spec);
-        let bucket = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            Vec::new()
-        });
-        bucket.push(idx);
-    }
-    order
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..lanes)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(idx) else {
+                            return done;
+                        };
+                        done.push((idx, f(item)));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            let done = worker
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            for (idx, result) in done {
+                slots[idx] = Some(result);
+            }
+        }
+    });
+    slots
         .into_iter()
-        .map(|key| groups.remove(&key).expect("group recorded in order"))
+        .map(|slot| slot.expect("every index claimed exactly once"))
         .collect()
 }
 
-/// Runs `specs` through the oracles, sequentially or batched.
+/// Runs `specs` through the oracles on `lanes` threads (see
+/// [`map_ordered`]), returning outcomes and timings in corpus order.
 ///
-/// `lanes = None` is the one-at-a-time reference path: one setup per
-/// scenario, built privately, guards installed once on the calling thread
-/// (exactly the discipline `run_suite` always had). `lanes = Some(l)` runs
-/// the grouped batch engine on a dedicated `l`-thread pool. Both return
-/// results in corpus order with values bit-identical to each other.
+/// The mutation hook and the search-metrics sink are thread-local scope
+/// guards, so each scenario installs its own on whichever thread runs it;
+/// the counters are shared atomics, so corpus-wide totals do not depend on
+/// lane scheduling.
 pub fn run_specs(
     specs: &[ScenarioSpec],
     lanes: Option<usize>,
     mutate: Option<Mutation>,
     metrics: &SearchMetrics,
-) -> LaneResults {
-    match lanes {
-        None => run_sequential(specs, mutate, metrics),
-        Some(l) => run_batched(specs, l.max(1), mutate, metrics),
-    }
-}
-
-fn run_sequential(
-    specs: &[ScenarioSpec],
-    mutate: Option<Mutation>,
-    metrics: &SearchMetrics,
-) -> LaneResults {
-    let _mutation_guard = mutate.map(quantum_sim::mutation::arm);
-    let _metrics_guard = quantum_sim::instrument::install(metrics.clone());
-    let mut results = LaneResults::default();
-    for spec in specs {
-        let (outcome, timing) = run_one_cold(spec);
-        results.outcomes.push(outcome);
-        results.timings.push(timing);
-    }
-    results
-}
-
-/// Builds a private setup for `spec` and runs it, timing setup vs execute.
-fn run_one_cold(spec: &ScenarioSpec) -> (ScenarioOutcome, ScenarioTiming) {
-    let t0 = Instant::now();
-    let setup = build_setup(spec);
-    let setup_secs = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let outcome = match &setup {
-        Some(setup) => oracle::run_scenario_shared(spec, setup),
-        // Setup panicked; the one-at-a-time path rebuilds internally and
-        // converts the same panic into the canonical no-panic failure.
-        None => oracle::run_scenario(spec),
-    };
-    let timing = ScenarioTiming {
-        seed: spec.seed,
-        setup_secs,
-        execute_secs: t1.elapsed().as_secs_f64(),
-        shared_setup: false,
-    };
-    (outcome, timing)
-}
-
-/// Builds the shared setup with `D` pre-warmed (the one derived metric
-/// every workload reads before evaluating); `None` if construction panics.
-fn build_setup(spec: &ScenarioSpec) -> Option<SharedSetup> {
-    std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let setup = SharedSetup::build(spec);
-        setup.d();
-        setup
-    }))
-    .ok()
-}
-
-fn run_batched(
-    specs: &[ScenarioSpec],
-    lanes: usize,
-    mutate: Option<Mutation>,
-    metrics: &SearchMetrics,
-) -> LaneResults {
-    let groups = group_by_graph(specs);
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(lanes)
-        .build()
-        .expect("build batch lane pool");
-    // One result bucket per group: each spawned task owns its bucket
-    // (disjoint &mut), so no locks sit on the result path.
-    let mut buckets: Vec<Vec<(usize, ScenarioOutcome, ScenarioTiming)>> =
-        groups.iter().map(|g| Vec::with_capacity(g.len())).collect();
-    pool.install(|| {
-        rayon::scope(|s| {
-            for (group, bucket) in groups.iter().zip(buckets.iter_mut()) {
-                let metrics = metrics.clone();
-                s.spawn(move || {
-                    // Thread-local guards must be installed in the lane
-                    // task itself — jobs run on pool workers (or on the
-                    // caller while it helps drain; both guards nest).
-                    let _mutation_guard = mutate.map(quantum_sim::mutation::arm);
-                    let _metrics_guard = quantum_sim::instrument::install(metrics);
-                    run_group(specs, group, bucket);
-                });
-            }
-        })
-    });
-    // Index-ordered reduction: every lane result lands back in its
-    // original corpus slot, so the output order (and content) is
-    // independent of lane count and scheduling.
-    let mut slots: Vec<Option<(ScenarioOutcome, ScenarioTiming)>> =
-        specs.iter().map(|_| None).collect();
-    for bucket in buckets {
-        for (idx, outcome, timing) in bucket {
-            debug_assert!(slots[idx].is_none(), "corpus index {idx} filled twice");
-            slots[idx] = Some((outcome, timing));
-        }
-    }
-    let mut results = LaneResults::default();
-    for slot in slots {
-        let (outcome, timing) = slot.expect("every corpus index filled exactly once");
-        results.outcomes.push(outcome);
-        results.timings.push(timing);
-    }
-    results
-}
-
-/// Runs one graph group against a single shared setup, attributing the
-/// setup cost to the group's first member.
-fn run_group(
-    specs: &[ScenarioSpec],
-    group: &[usize],
-    out: &mut Vec<(usize, ScenarioOutcome, ScenarioTiming)>,
-) {
-    let t0 = Instant::now();
-    let setup = build_setup(&specs[group[0]]);
-    let setup_secs = t0.elapsed().as_secs_f64();
-    match setup {
-        Some(setup) => {
-            for (k, &idx) in group.iter().enumerate() {
-                let spec = &specs[idx];
-                let t1 = Instant::now();
-                let outcome = oracle::run_scenario_shared(spec, &setup);
-                let timing = ScenarioTiming {
-                    seed: spec.seed,
-                    setup_secs: if k == 0 { setup_secs } else { 0.0 },
-                    execute_secs: t1.elapsed().as_secs_f64(),
-                    shared_setup: k > 0,
-                };
-                out.push((idx, outcome, timing));
-            }
-        }
-        None => {
-            // Shared setup panicked. Fall back to the one-at-a-time path
-            // per member: it rebuilds (and re-panics) internally, yielding
-            // the exact failure outcome the sequential run reports.
-            for (k, &idx) in group.iter().enumerate() {
-                let spec = &specs[idx];
-                let t1 = Instant::now();
-                let outcome = oracle::run_scenario(spec);
-                let timing = ScenarioTiming {
-                    seed: spec.seed,
-                    setup_secs: if k == 0 { setup_secs } else { 0.0 },
-                    execute_secs: t1.elapsed().as_secs_f64(),
-                    shared_setup: false,
-                };
-                out.push((idx, outcome, timing));
-            }
-        }
-    }
+) -> (Vec<ScenarioOutcome>, Vec<ScenarioTiming>) {
+    map_ordered(specs, lanes, |spec| {
+        let _mutation_guard = mutate.map(quantum_sim::mutation::arm);
+        let _metrics_guard = quantum_sim::instrument::install(metrics.clone());
+        let started = Instant::now();
+        let outcome = oracle::run_scenario(spec);
+        let timing = ScenarioTiming {
+            seed: spec.seed,
+            secs: started.elapsed().as_secs_f64(),
+        };
+        (outcome, timing)
+    })
+    .into_iter()
+    .unzip()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{FaultSpec, ParMode, Workload};
+    use std::thread::ThreadId;
+    use std::time::Duration;
 
-    fn spec(seed: u64, family: Family, n: usize, w: u64) -> ScenarioSpec {
-        ScenarioSpec {
-            seed,
-            family,
-            n,
-            max_weight: w,
-            faults: FaultSpec::NoFaults,
-            parallelism: ParMode::Sequential,
-            workload: Workload::BaselineExact,
+    /// Lanes are threads: at most `lanes` items are ever in flight, the
+    /// output keeps input order, and one lane never leaves the caller.
+    #[test]
+    fn map_ordered_lanes_are_threads() {
+        let items: Vec<usize> = (0..32).collect();
+        let caller = std::thread::current().id();
+        for lanes in 1..=4 {
+            let in_flight = AtomicUsize::new(0);
+            let high_water = AtomicUsize::new(0);
+            let out: Vec<(usize, ThreadId)> = map_ordered(&items, Some(lanes), |&i| {
+                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                high_water.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(2));
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+                (i, std::thread::current().id())
+            });
+            let order: Vec<usize> = out.iter().map(|&(i, _)| i).collect();
+            assert_eq!(order, items, "output order at {lanes} lanes");
+            let peak = high_water.load(Ordering::SeqCst);
+            assert!(peak <= lanes, "{peak} items in flight on {lanes} lanes");
+            if lanes == 1 {
+                assert!(out.iter().all(|&(_, t)| t == caller));
+            }
         }
-        .normalized()
     }
 
     #[test]
-    fn deterministic_families_group_across_seeds() {
-        let specs = vec![
-            spec(0, Family::Path, 12, 8),
-            spec(1, Family::Star, 9, 1),
-            spec(2, Family::Path, 12, 8),
-            spec(3, Family::Path, 12, 4096),
-        ];
-        let groups = group_by_graph(&specs);
-        assert_eq!(groups, vec![vec![0, 2], vec![1], vec![3]]);
-        assert_eq!(graph_key(&specs[0]), graph_key(&specs[2]));
-        assert_ne!(graph_key(&specs[0]), graph_key(&specs[3]));
+    fn sequential_and_empty_inputs_run_inline() {
+        let caller = std::thread::current().id();
+        let out = map_ordered(&[1, 2, 3], None, |&x| (x * 10, std::thread::current().id()));
+        assert_eq!(
+            out.iter().map(|&(x, _)| x).collect::<Vec<_>>(),
+            [10, 20, 30]
+        );
+        assert!(out.iter().all(|&(_, t)| t == caller));
+        let empty: Vec<u8> = map_ordered(&[] as &[u8], Some(4), |&x| x);
+        assert!(empty.is_empty());
     }
 
     #[test]
-    fn random_families_stay_singleton_per_seed() {
-        let f = Family::ErdosRenyi { p: 0.25 };
-        let specs = vec![spec(5, f, 16, 8), spec(6, f, 16, 8), spec(5, f, 16, 8)];
-        let groups = group_by_graph(&specs);
-        // Same seed groups; different seed does not.
-        assert_eq!(groups, vec![vec![0, 2], vec![1]]);
-    }
-
-    #[test]
-    fn grouped_members_build_identical_graphs() {
-        // The graph_key contract: equal keys ⇒ byte-identical graphs, even
-        // though the seeds differ (deterministic families ignore the seed).
-        let a = spec(11, Family::Grid, 20, 8);
-        let b = spec(99, Family::Grid, 20, 8);
-        assert_eq!(graph_key(&a), graph_key(&b));
-        assert_eq!(a.build_graph().digest(), b.build_graph().digest());
-    }
-
-    #[test]
-    fn batched_results_keep_corpus_order() {
-        let specs: Vec<ScenarioSpec> = vec![
-            spec(0, Family::Path, 10, 1),
-            spec(1, Family::Star, 8, 8),
-            spec(2, Family::Path, 10, 1),
-            spec(3, Family::Cycle, 9, 1),
-        ];
+    fn run_specs_keeps_corpus_order() {
+        let specs: Vec<ScenarioSpec> = (0..4).map(ScenarioSpec::from_seed).collect();
         let registry = wdr_metrics::MetricsRegistry::new();
         let metrics = SearchMetrics::register(&registry, "test.batch");
-        let results = run_specs(&specs, Some(2), None, &metrics);
-        assert_eq!(results.outcomes.len(), specs.len());
-        assert_eq!(results.timings.len(), specs.len());
-        for (i, outcome) in results.outcomes.iter().enumerate() {
-            assert_eq!(outcome.spec.seed, specs[i].seed);
-            assert_eq!(results.timings[i].seed, specs[i].seed);
+        let (outcomes, timings) = run_specs(&specs, Some(2), None, &metrics);
+        assert_eq!(outcomes.len(), specs.len());
+        for ((outcome, timing), spec) in outcomes.iter().zip(&timings).zip(&specs) {
+            assert_eq!(outcome.spec.seed, spec.seed);
+            assert_eq!(timing.seed, spec.seed);
+            assert!(timing.secs >= 0.0);
         }
-        // Seed 2 shares seed 0's Path graph: no setup cost, flagged shared.
-        assert!(results.timings[2].shared_setup);
-        assert_eq!(results.timings[2].setup_secs, 0.0);
-        assert!(!results.timings[0].shared_setup);
     }
 }

@@ -109,17 +109,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             print!("{}", runner::render_report(&report));
             if timings {
                 for t in &report.timings {
-                    println!(
-                        "  seed {:>6}: setup {:>8.3}ms + execute {:>9.3}ms{}",
-                        t.seed,
-                        t.setup_secs * 1e3,
-                        t.execute_secs * 1e3,
-                        if t.shared_setup {
-                            " (shared setup)"
-                        } else {
-                            ""
-                        }
-                    );
+                    println!("  seed {:>6}: {:>9.3}ms", t.seed, t.secs * 1e3);
                 }
             }
             if options.mutate.is_some() {

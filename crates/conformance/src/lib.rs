@@ -26,10 +26,10 @@
 //! * [`runner`] — corpus execution, aggregate (soft-side) statistics, the
 //!   mutation self-check (`--mutate skip-grover-phase` must make the suite
 //!   fail), and the failing-seed shrinker behind `wdr-conform replay`.
-//! * [`batch`] — the many-seed batch engine (DESIGN.md §3j): specs grouped
-//!   by graph identity, one shared setup per group, lanes fanned across a
-//!   dedicated pool with index-ordered reduction, results bit-identical to
-//!   the sequential path (experiment E12 gates the speedup).
+//! * [`batch`] — lane execution (DESIGN.md §3j): [`batch::map_ordered`]
+//!   runs scenarios on `lanes` threads and puts results back in corpus
+//!   order, bit-identical to the sequential path (experiment E12 gates the
+//!   speedup).
 //!
 //! # Examples
 //!

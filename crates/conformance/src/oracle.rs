@@ -15,8 +15,7 @@
 use crate::envelope::{ModelKind, RoundMeasurement};
 use crate::scenario::{ScenarioSpec, Workload};
 use congest_algos::baselines::{diameter_radius_exact, WeightMode};
-use congest_graph::context::GraphContext;
-use congest_graph::sweep::SweepResult;
+use congest_graph::sweep::{self, SweepResult};
 use congest_graph::WeightedGraph;
 use congest_sim::primitives::{self, Aggregate};
 use congest_wdr::algorithm::{quantum_weighted, Confidence, Objective};
@@ -158,79 +157,63 @@ struct EvalResult {
     error_kind: Option<&'static str>,
 }
 
-/// The shared-immutable half of a scenario run: the built graph plus its
-/// cached derived metrics ([`GraphContext`]).
-///
-/// Everything in here is a deterministic function of the spec's *graph
-/// identity* (family, `n`, `max_weight`, and — for seeded-random families —
-/// the seed), never of the fault plan or workload. The batch engine
-/// ([`crate::batch`]) therefore builds one `SharedSetup` per family cell and
-/// runs every lane-mate against it; the sequential path builds a private one
-/// per scenario. Both paths execute the identical oracle code over it, which
-/// is what makes batch results bit-identical to one-at-a-time results.
+/// The graph half of a scenario run: the built graph plus its weighted and
+/// unweighted extreme sweeps, all deterministic functions of the spec's
+/// family, `n`, `max_weight` and seed (never of the fault plan or
+/// workload).
 pub struct SharedSetup {
-    ctx: GraphContext,
+    graph: WeightedGraph,
+    extremes: SweepResult,
+    unweighted: SweepResult,
 }
 
 impl SharedSetup {
-    /// Build the graph for `spec` and wrap it. Derived metrics stay lazy:
-    /// whichever oracle asks first computes them, later lane-mates reuse.
+    /// Build the graph for `spec` and run both sweeps on it.
     pub fn build(spec: &ScenarioSpec) -> SharedSetup {
+        let graph = spec.build_graph();
         SharedSetup {
-            ctx: GraphContext::new(spec.build_graph()),
+            extremes: sweep::extremes(&graph),
+            unweighted: sweep::extremes_unweighted(&graph),
+            graph,
         }
     }
 
-    /// The shared graph.
+    /// The graph.
     pub fn graph(&self) -> &WeightedGraph {
-        self.ctx.graph()
+        &self.graph
     }
 
     /// The network parameter `D` as every oracle uses it: the unweighted
     /// diameter clamped to at least 1 (`usize::MAX` when disconnected),
     /// exactly `metrics::unweighted_diameter(g).max(1)`.
     pub fn d(&self) -> usize {
-        self.ctx.unweighted_diameter().unwrap_or(usize::MAX).max(1)
+        self.unweighted
+            .diameter
+            .finite()
+            .map_or(usize::MAX, |d| d as usize)
+            .max(1)
     }
 
-    /// Cached weighted extremes (`metrics::extremes`).
+    /// Weighted extremes (`metrics::extremes`).
     pub fn extremes(&self) -> &SweepResult {
-        self.ctx.extremes()
+        &self.extremes
     }
 
-    /// Cached unweighted extremes (`metrics::unweighted_extremes`).
+    /// Unweighted extremes (`metrics::unweighted_extremes`).
     pub fn unweighted_extremes(&self) -> &SweepResult {
-        self.ctx.unweighted_extremes()
+        &self.unweighted
     }
 }
 
 /// Runs one scenario through every applicable oracle. Never panics: the
 /// evaluation is wrapped, and a panic becomes a failed `no-panic` check.
 pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
-    run_scenario_impl(spec, None)
-}
-
-/// [`run_scenario`] against a prebuilt [`SharedSetup`] (the batch-engine
-/// entry point). The outcome is bit-identical to `run_scenario(spec)` —
-/// the setup only memoizes deterministic functions of the same graph.
-pub fn run_scenario_shared(spec: &ScenarioSpec, setup: &SharedSetup) -> ScenarioOutcome {
-    run_scenario_impl(spec, Some(setup))
-}
-
-fn run_scenario_impl(spec: &ScenarioSpec, shared: Option<&SharedSetup>) -> ScenarioOutcome {
     let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let owned;
-        let setup = match shared {
-            Some(s) => s,
-            None => {
-                owned = SharedSetup::build(spec);
-                &owned
-            }
-        };
+        let setup = SharedSetup::build(spec);
         let n = setup.graph().n();
         let d = setup.d();
-        let first = evaluate(spec, setup);
-        let second = evaluate(spec, setup);
+        let first = evaluate(spec, &setup);
+        let second = evaluate(spec, &setup);
         let (s1, s2) = (summarize_eval(&first), summarize_eval(&second));
         let mut checks;
         let (soft_side, measurement, error_kind);

@@ -49,9 +49,9 @@ pub struct SuiteOptions {
     /// private registry — the report's embedded snapshot is produced
     /// either way; pass one to also read the metrics live.
     pub registry: Option<wdr_metrics::MetricsRegistry>,
-    /// Batch lanes: `None` runs the classic one-at-a-time path;
-    /// `Some(l)` fans graph-grouped scenarios across `l` lanes via
-    /// [`crate::batch`]. Results are bit-identical either way
+    /// Batch lanes: `None` or `Some(1)` runs the scenarios one at a time
+    /// on the calling thread; `Some(l)` runs them on `l` threads via
+    /// [`crate::batch::map_ordered`]. Results are bit-identical either way
     /// (proptest-pinned); only the timings differ.
     pub lanes: Option<usize>,
 }
@@ -69,8 +69,8 @@ pub struct SuiteReport {
     pub envelope: EnvelopeReport,
     /// Where the bench artifact landed, if written.
     pub bench_path: Option<PathBuf>,
-    /// Per-scenario setup-vs-execute breakdown, corpus order. Timings are
-    /// observational: they are excluded from [`fingerprint`].
+    /// Per-scenario wall times, corpus order. Timings are observational:
+    /// they are excluded from [`fingerprint`].
     pub timings: Vec<ScenarioTiming>,
     /// Wall-clock seconds for the whole scenario loop (excludes envelope
     /// fitting and artifact writes).
@@ -83,17 +83,6 @@ impl SuiteReport {
     /// `true` when no oracle failed anywhere.
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
-    }
-
-    /// Total seconds spent building shared setups (graph + topology
-    /// metrics), summed over scenarios.
-    pub fn setup_secs(&self) -> f64 {
-        self.timings.iter().map(|t| t.setup_secs).sum()
-    }
-
-    /// Total seconds spent executing oracles, summed over scenarios.
-    pub fn execute_secs(&self) -> f64 {
-        self.timings.iter().map(|t| t.execute_secs).sum()
     }
 
     /// How the faulted scenarios ended, by the kind of typed simulator
@@ -186,26 +175,20 @@ pub fn fingerprint(report: &SuiteReport) -> String {
     out
 }
 
-/// Runs the suite over `specs` — one at a time by default, or through the
-/// [`crate::batch`] engine when [`SuiteOptions::lanes`] is set. The two
-/// paths produce bit-identical reports (see [`fingerprint`]).
+/// Runs the suite over `specs` on [`SuiteOptions::lanes`] threads. Every
+/// lane count produces a bit-identical report (see [`fingerprint`]).
 pub fn run_suite(specs: &[ScenarioSpec], options: &SuiteOptions) -> SuiteReport {
     let registry = options.registry.clone().unwrap_or_default();
-    // The mutation hook and metrics sink are thread-local scope guards;
-    // `batch::run_specs` installs them on the calling thread for the
-    // sequential path and inside every lane task for the batched path.
     let search_metrics = quantum_sim::SearchMetrics::register(&registry, "conformance.quantum");
     let take = options.slice.unwrap_or(specs.len()).min(specs.len());
     let started = Instant::now();
-    let lane_results = batch::run_specs(
+    let (outcomes, timings) = batch::run_specs(
         &specs[..take],
         options.lanes,
         options.mutate,
         &search_metrics,
     );
     let wall_secs = started.elapsed().as_secs_f64();
-    let outcomes = lane_results.outcomes;
-    let timings = lane_results.timings;
     let mut failures = Vec::new();
     for outcome in &outcomes {
         for check in outcome.failures() {
@@ -339,18 +322,15 @@ pub fn render_report(report: &SuiteReport) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     writeln!(out, "scenarios run: {}", report.outcomes.len()).unwrap();
-    let shared = report.timings.iter().filter(|t| t.shared_setup).count();
     writeln!(
         out,
-        "timing: setup {:.3}s + execute {:.3}s, wall {:.3}s ({}, {} shared setups)",
-        report.setup_secs(),
-        report.execute_secs(),
+        "timing: scenarios {:.3}s, wall {:.3}s ({})",
+        report.timings.iter().map(|t| t.secs).sum::<f64>(),
         report.wall_secs,
         match report.lanes {
-            Some(l) => format!("{l} lanes"),
-            None => "sequential".to_string(),
+            Some(l) if l > 1 => format!("{l} lanes"),
+            _ => "sequential".to_string(),
         },
-        shared
     )
     .unwrap();
     let faulted = report.faulted_outcomes();

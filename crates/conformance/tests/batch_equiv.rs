@@ -1,9 +1,9 @@
 //! Batch == sequential bit-identity, pinned by proptest (the same
 //! discipline as `parallel_equiv.rs` in the simulator): for random
-//! families × lane counts × fault plans, the batch engine must reproduce
-//! the one-at-a-time path exactly — oracle verdicts and details, round
-//! counts, soft-side flags, envelope fits, and the embedded metric
-//! snapshot values. Timings are the only permitted difference.
+//! families × lane counts × fault plans, a run on several lanes must
+//! reproduce the one-at-a-time path exactly — oracle verdicts and
+//! details, round counts, soft-side flags, envelope fits, and the embedded
+//! metric snapshot values. Timings are the only permitted difference.
 
 use proptest::prelude::*;
 use quantum_sim::mutation::Mutation;
@@ -76,7 +76,7 @@ proptest! {
 }
 
 /// A real corpus prefix (seeds 0..16, the CI smoke slice) runs identically
-/// through both paths, and the batch path actually shares setups.
+/// through both paths, and the batched run times every scenario.
 #[test]
 fn batch_corpus_prefix_equals_sequential() {
     let specs = runner::generate_corpus(16);
@@ -98,10 +98,10 @@ fn batch_corpus_prefix_equals_sequential() {
     assert_eq!(fingerprint(&seq), fingerprint(&bat));
     assert_eq!(seq.outcomes.len(), bat.outcomes.len());
     assert_eq!(bat.timings.len(), specs.len());
-    // Timing satellite: every scenario carries a breakdown, corpus order.
+    // Every scenario carries its wall time, corpus order.
     for (t, s) in bat.timings.iter().zip(&specs) {
         assert_eq!(t.seed, s.seed);
-        assert!(t.execute_secs >= 0.0 && t.setup_secs >= 0.0);
+        assert!(t.secs >= 0.0);
     }
 }
 

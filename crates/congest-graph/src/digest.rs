@@ -12,6 +12,10 @@
 //! The digest is the graph half of the serving layer's content-addressed
 //! cache key and doubles as a provenance stamp for `BENCH_*.json` rows.
 //!
+//! [`splitmix64`] is the workspace's one seed mixer: scenario generation,
+//! ablation job seeds, load mixes, fault decisions and the streaming
+//! generators all draw from it.
+//!
 //! # Examples
 //!
 //! ```
@@ -46,6 +50,24 @@ impl fmt::Display for GraphDigest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:016x}", self.0)
     }
+}
+
+/// One step of the SplitMix64 generator (Steele, Lea and Flood): advances
+/// `state` by the golden-ratio increment and returns the mixed output.
+///
+/// ```
+/// use congest_graph::digest::splitmix64;
+/// let mut state = 0;
+/// assert_eq!(splitmix64(&mut state), 0xe220_a839_7b1d_cdaf);
+/// assert_eq!(state, 0x9e37_79b9_7f4a_7c15);
+/// ```
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 fn fnv_u64(mut hash: u64, value: u64) -> u64 {

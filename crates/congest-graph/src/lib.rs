@@ -17,9 +17,10 @@
 //!   eccentricity bounds, the ground-truth kernel behind [`metrics`];
 //! * [`SsspWorkspace`] — reusable scratch so multi-source shortest-path
 //!   loops run allocation-free, with a Dial bucket queue for small weights;
-//! * [`SweepWorkspace`] — the same reuse for whole extremes queries, plus
-//!   [`GraphDigest`], the stable FNV-1a content hash serving-layer caches
-//!   key on;
+//! * [`SweepWorkspace`] — the same reuse for whole extremes queries;
+//! * [`digest`] — [`GraphDigest`], the stable FNV-1a content hash
+//!   serving-layer caches key on, and [`digest::splitmix64`], the one
+//!   seed mixer the workspace's crates share;
 //! * [`DistMatrix`] — flat single-allocation all-pairs distance tables;
 //! * [`rounding`] — the weight-rounding scheme `w_i` and approximate
 //!   bounded-hop distance `d̃^ℓ` (Lemma 3.2);
@@ -34,8 +35,6 @@
 //!   [`GraphWriter`];
 //! * [`compact`] — [`CompactGraph`], the `u32`-index CSR variant that keeps
 //!   10⁷-edge working sets cache- and RAM-friendly;
-//! * [`context`] — [`context::GraphContext`], the shared-immutable graph +
-//!   cached-metrics bundle the many-seed batch engine fans across lanes;
 //! * [`dot`] — Graphviz emission for the figure-regeneration harness.
 //!
 //! # Examples
@@ -69,9 +68,8 @@
 #![warn(missing_docs)]
 
 pub mod compact;
-pub mod context;
 pub mod contract;
-mod digest;
+pub mod digest;
 mod dist;
 pub mod dot;
 pub mod generators;

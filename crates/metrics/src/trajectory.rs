@@ -924,10 +924,8 @@ mod tests {
         );
 
         let batch = serde_json::from_str(
-            r#"{"rows":[{"lanes":0,"wall_secs":10.0,"setup_secs":1.0,"execute_secs":9.0,
-                "scenarios_per_sec":50.0,"speedup":1.0,"shared_setups":0},
-                {"lanes":8,"wall_secs":1.6,"setup_secs":0.2,"execute_secs":1.4,
-                "scenarios_per_sec":312.5,"speedup":6.25,"shared_setups":120}],
+            r#"{"rows":[{"lanes":0,"wall_secs":10.0,"scenarios_per_sec":50.0,"speedup":1.0},
+                {"lanes":8,"wall_secs":1.6,"scenarios_per_sec":312.5,"speedup":6.25}],
                 "metrics":[["e12.batch_speedup",6.25],["e12.lane_count",8]]}"#,
         )
         .unwrap();

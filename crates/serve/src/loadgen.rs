@@ -24,6 +24,7 @@
 
 use crate::error::ServeError;
 use crate::protocol::{Algorithm, Client, GraphSource, Query, Request, RequestKind};
+use congest_graph::digest::splitmix64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -150,16 +151,6 @@ impl LoadReport {
             self.wall_secs
         )
     }
-}
-
-/// SplitMix64 — the same mixer the conformance corpus uses, copied locally
-/// because it is private there.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Deterministically maps request index `idx` to its query.
