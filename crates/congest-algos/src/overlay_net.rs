@@ -138,10 +138,11 @@ pub fn embed_overlay<R: Rng + ?Sized>(
         bandwidth: congest_sim::Bandwidth::bits(160),
         ..config.clone()
     };
-    let (collected, up_stats) = primitives::collect_at_leader(g, leader, &wide, &tree, &items)?;
+    let mut relay = primitives::TreeRelay::new(g, leader, &wide, &tree);
+    let (collected, up_stats) = relay.collect(&items)?;
     stats.absorb(&up_stats);
     let payload: Vec<u128> = collected.iter().map(|&(_, v)| v).collect();
-    let (_, down_stats) = primitives::pipelined_broadcast(g, leader, &wide, &tree, &payload)?;
+    let down_stats = relay.broadcast(&payload)?;
     stats.absorb(&down_stats);
 
     // All nodes now share the k-shortest-edge sets and construct G''
@@ -210,6 +211,12 @@ pub fn overlay_sssp(
         bandwidth: congest_sim::Bandwidth::bits(160),
         ..config.clone()
     };
+    // One relay (two networks) serves every overlay round; the per-round
+    // buffers below are likewise reused, cleared each round.
+    let mut relay = primitives::TreeRelay::new(g, leader, &wide, &tree);
+    let mut announcers: Vec<usize> = Vec::with_capacity(s);
+    let mut items: Vec<Vec<(u64, u128)>> = vec![Vec::new(); g.n()];
+    let mut payload: Vec<u128> = Vec::with_capacity(s);
 
     let mut best = vec![f64::INFINITY; s];
     best[src] = 0.0;
@@ -227,22 +234,21 @@ pub fn overlay_sssp(
         dist[src] = Some(0);
         for rho in 0..=limit {
             // Who announces this overlay round? (settled distance == rho)
-            let announcers: Vec<usize> = (0..s)
-                .filter(|&u| !broadcasted[u] && dist[u] == Some(rho))
-                .collect();
+            announcers.clear();
+            announcers.extend((0..s).filter(|&u| !broadcasted[u] && dist[u] == Some(rho)));
             // Physical realization: collect the a announcements at the
             // leader and rebroadcast them to everyone (O(D + a) rounds).
             // Empty rounds still pay the O(D) "count" cost.
-            let mut items: Vec<Vec<(u64, u128)>> = vec![Vec::new(); g.n()];
+            items.iter_mut().for_each(Vec::clear);
             for &u in &announcers {
                 let packed: u128 = ((u as u128) << 64) | dist[u].unwrap() as u128;
                 items[emb.skeleton[u]].push((u as u64, packed));
             }
-            let (gathered, up) = primitives::collect_at_leader(g, leader, &wide, &tree, &items)?;
+            let (gathered, up) = relay.collect(&items)?;
             stats.absorb(&up);
-            let payload: Vec<u128> = gathered.iter().map(|&(_, v)| v).collect();
-            let (_, down) = primitives::pipelined_broadcast(g, leader, &wide, &tree, &payload)?;
-            stats.absorb(&down);
+            payload.clear();
+            payload.extend(gathered.iter().map(|&(_, v)| v));
+            stats.absorb(&relay.broadcast(&payload)?);
             // Every skeleton node relaxes against the announcements (the
             // complete overlay: every pair is adjacent).
             for &u in &announcers {

@@ -21,7 +21,8 @@
 //!   sink that costs nothing when disabled (the default);
 //! * provides the standard `O(D)` / `O(D + k)` [`primitives`]:
 //!   BFS-tree construction, scalar and vector convergecasts, pipelined
-//!   broadcast and pipelined collection — plus flood-max [`election`]
+//!   broadcast and pipelined collection (repeatable without rebuilding
+//!   networks through [`primitives::TreeRelay`]) — plus flood-max [`election`]
 //!   for networks without a pre-defined leader;
 //! * injects deterministic, seed-driven **[`faults`]** (message drops,
 //!   link throttles, node crashes, adversarial bursts) when a

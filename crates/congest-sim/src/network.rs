@@ -269,6 +269,51 @@ impl<P: NodeProgram> Network<P> {
         }
     }
 
+    /// Re-initializes the network for another run over the same graph,
+    /// leader and config: `reset` re-arms each node's program in place, and
+    /// all run state (statuses, both arenas, outboxes, statistics, the
+    /// bandwidth profile, loss and crash bookkeeping) returns to what
+    /// [`Network::new`] produces. Buffers keep their capacity, and the
+    /// compiled fault plan is kept. Rounds restart at 1, so the next run
+    /// meets exactly the fault decisions a fresh network would.
+    pub(crate) fn rearm(&mut self, mut reset: impl FnMut(NodeId, &mut P)) {
+        for (v, program) in self.programs.iter_mut().enumerate() {
+            reset(v, program);
+        }
+        self.status.fill(Status::Running);
+        for arena in self.pending.iter_mut().chain(&mut self.inboxes) {
+            arena.clear();
+        }
+        for mailbox in &mut self.mailboxes {
+            mailbox.out.clear();
+        }
+        self.per_channel.clear();
+        self.chan_slot.fill(0);
+        let mut message_log = std::mem::take(&mut self.stats.message_log);
+        message_log.clear();
+        self.stats = RoundStats {
+            message_log,
+            ..RoundStats::default()
+        };
+        self.started = false;
+        self.round_peak = 0;
+        if let Some(profile) = &mut self.profile {
+            profile.clear();
+        }
+        for lost in &mut self.lost_from {
+            lost.clear();
+        }
+        self.crashed_now.fill(false);
+        self.ever_crashed.fill(false);
+        self.log_truncated = false;
+    }
+
+    /// Node `v`'s program, in place (for callers that read results without
+    /// consuming the network).
+    pub(crate) fn program_mut(&mut self, v: NodeId) -> &mut P {
+        &mut self.programs[v]
+    }
+
     /// Number of nodes.
     pub fn n(&self) -> usize {
         self.ctxs.len()
@@ -715,6 +760,33 @@ impl<P: NodeProgram> Network<P> {
         }
     }
 
+    /// Runs until quiescence inside a telemetry phase span called `name`,
+    /// keeping the programs in place, and returns the run's statistics.
+    ///
+    /// The span is a no-op when the config's [`crate::telemetry::Telemetry`]
+    /// is disabled (the default). When channel profiling is enabled, the
+    /// per-channel load summary is emitted just before the span closes; on
+    /// failure, a [`TraceEvent::SimFailed`] records the error in the trace.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Network::run`].
+    pub fn run_traced(&mut self, name: &str) -> Result<RoundStats, SimError> {
+        let telemetry = self.config.telemetry.clone();
+        let span = telemetry.span(name);
+        if let Err(err) = self.run_to_quiescence() {
+            telemetry.emit_with(|| TraceEvent::SimFailed { error: err.clone() });
+            span.end();
+            return Err(err);
+        }
+        if let Some(profile) = &self.profile {
+            telemetry.emit_with(|| profile.summary(HOT_EDGE_TOP_K));
+        }
+        let stats = self.stats.clone();
+        span.end();
+        Ok(stats)
+    }
+
     /// Runs until quiescence, keeping the programs in place (use
     /// [`Network::into_outputs`] to extract results).
     ///
@@ -740,13 +812,8 @@ impl<P: NodeProgram> Network<P> {
 }
 
 /// Runs a fresh network to quiescence and returns `(outputs, stats)` — the
-/// common single-phase pattern.
-///
-/// The run executes inside a telemetry phase span called `name` (a no-op
-/// when the config's [`crate::telemetry::Telemetry`] is disabled, the
-/// default). When channel profiling is enabled, the per-channel load
-/// summary is emitted just before the span closes; on failure, a
-/// [`TraceEvent::SimFailed`] records the error in the trace.
+/// common single-phase pattern. The run is traced as
+/// [`Network::run_traced`] describes.
 ///
 /// # Errors
 ///
@@ -758,19 +825,8 @@ pub fn run_phase<P: NodeProgram>(
     name: &str,
     make: impl FnMut(NodeId, &NodeCtx) -> P,
 ) -> Result<(Vec<P::Output>, RoundStats), SimError> {
-    let telemetry = config.telemetry.clone();
-    let span = telemetry.span(name);
     let mut net = Network::new(graph, leader, config.clone(), make);
-    if let Err(err) = net.run_to_quiescence() {
-        telemetry.emit_with(|| TraceEvent::SimFailed { error: err.clone() });
-        span.end();
-        return Err(err);
-    }
-    if let Some(profile) = net.bandwidth_profile() {
-        telemetry.emit_with(|| profile.summary(HOT_EDGE_TOP_K));
-    }
-    let stats = net.stats().clone();
-    span.end();
+    let stats = net.run_traced(name)?;
     Ok((net.into_outputs(), stats))
 }
 

@@ -1,5 +1,7 @@
 //! Reusable CONGEST building blocks: BFS-tree construction, convergecast
-//! aggregation, pipelined broadcast, and pipelined collection.
+//! aggregation, pipelined broadcast, and pipelined collection — plus
+//! [`TreeRelay`], which repeats the collect-then-rebroadcast pair over one
+//! tree without rebuilding its networks.
 //!
 //! These are the `O(D)`- and `O(D + k)`-round primitives the paper's
 //! algorithms lean on ("the node leader can collect S_i in O(D + r) rounds",
@@ -8,7 +10,7 @@
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the paper's matrix notation
 use crate::model::{NodeCtx, Payload, RoundStats, SimConfig, SimError, Status};
-use crate::network::{run_phase, Mailbox, NodeProgram};
+use crate::network::{run_phase, Mailbox, Network, NodeProgram};
 use congest_graph::{NodeId, WeightedGraph};
 
 /// A node's view of a rooted BFS tree.
@@ -545,6 +547,32 @@ struct PipelinedBroadcastProgram {
     announced: bool,
 }
 
+impl PipelinedBroadcastProgram {
+    fn new(tree: TreeInfo, items: &[u128]) -> PipelinedBroadcastProgram {
+        let mut program = PipelinedBroadcastProgram {
+            tree,
+            items: Vec::new(),
+            expected: None,
+            received: Vec::new(),
+            send_cursor: 0,
+            announced: false,
+        };
+        program.arm(items);
+        program
+    }
+
+    /// Sets the start state of a run in which this node holds `items` (the
+    /// leader's list; empty elsewhere), keeping the buffers' capacity.
+    fn arm(&mut self, items: &[u128]) {
+        self.items.clear();
+        self.items.extend_from_slice(items);
+        self.expected = None;
+        self.received.clear();
+        self.send_cursor = 0;
+        self.announced = false;
+    }
+}
+
 impl NodeProgram for PipelinedBroadcastProgram {
     type Msg = PipeMsg;
     type Output = Vec<u128>;
@@ -613,14 +641,7 @@ pub fn pipelined_broadcast_program(
     tree: TreeInfo,
     items: Vec<u128>,
 ) -> impl NodeProgram<Output = Vec<u128>> {
-    PipelinedBroadcastProgram {
-        tree,
-        items,
-        expected: None,
-        received: Vec::new(),
-        send_cursor: 0,
-        announced: false,
-    }
+    PipelinedBroadcastProgram::new(tree, &items)
 }
 
 /// The leader broadcasts a list of `k` values to every node, pipelined along
@@ -644,12 +665,8 @@ pub fn pipelined_broadcast(
 ) -> Result<(Vec<Vec<u128>>, RoundStats), SimError> {
     assert_eq!(tree.len(), graph.n());
     run_phase(graph, leader, config, "pipelined_broadcast", |v, _| {
-        let own = if v == leader {
-            items.to_vec()
-        } else {
-            Vec::new()
-        };
-        pipelined_broadcast_program(tree[v].clone(), own)
+        let own = if v == leader { items } else { &[] };
+        PipelinedBroadcastProgram::new(tree[v].clone(), own)
     })
 }
 
@@ -698,14 +715,42 @@ impl Payload for CollectMsg {
     }
 }
 
+impl CollectProgram {
+    fn new(tree: TreeInfo, items: &[SeqItem]) -> CollectProgram {
+        let mut program = CollectProgram {
+            tree,
+            own: Vec::new(),
+            queue: Vec::new(),
+            cursor: 0,
+            open_children: 0,
+            finished_self: false,
+            collected: Vec::new(),
+        };
+        program.arm(items);
+        program
+    }
+
+    /// Sets the start state of a run in which this node contributes
+    /// `items`, keeping the buffers' capacity.
+    fn arm(&mut self, items: &[SeqItem]) {
+        self.own.clear();
+        self.own.extend_from_slice(items);
+        self.queue.clear();
+        self.cursor = 0;
+        self.open_children = self.tree.children.len();
+        self.finished_self = false;
+        self.collected.clear();
+    }
+}
+
 impl NodeProgram for CollectProgram {
     type Msg = CollectMsg;
     type Output = Vec<SeqItem>;
 
     fn start(&mut self, _ctx: &NodeCtx, _mb: &mut Mailbox<CollectMsg>) {
-        self.queue = self.own.clone();
+        self.queue.extend_from_slice(&self.own);
         if self.tree.parent.is_none() {
-            self.collected = self.own.clone();
+            self.collected.extend_from_slice(&self.own);
         }
     }
 
@@ -770,15 +815,7 @@ pub fn collect_program(
     tree: TreeInfo,
     items: Vec<(u64, u128)>,
 ) -> impl NodeProgram<Output = Vec<(u64, u128)>> {
-    CollectProgram {
-        open_children: tree.children.len(),
-        tree,
-        own: items,
-        queue: Vec::new(),
-        cursor: 0,
-        finished_self: false,
-        collected: Vec::new(),
-    }
+    CollectProgram::new(tree, &items)
 }
 
 /// Pipelined upcast: every node contributes tagged values, the leader
@@ -804,9 +841,103 @@ pub fn collect_at_leader(
     assert_eq!(tree.len(), graph.n());
     assert_eq!(items.len(), graph.n());
     let (out, stats) = run_phase(graph, leader, config, "pipelined_collect", |v, _| {
-        collect_program(tree[v].clone(), items[v].clone())
+        CollectProgram::new(tree[v].clone(), &items[v])
     })?;
     Ok((out[leader].clone(), stats))
+}
+
+/// A collect-then-rebroadcast relay over one fixed tree: the
+/// [`collect_at_leader`] / [`pipelined_broadcast`] pair for algorithms that
+/// repeat it many times (Algorithm 5 runs one pair per overlay round).
+///
+/// Both networks are built once and re-armed for every call. Re-arming
+/// restores exactly the state a fresh network starts from — only buffer
+/// capacity survives — so each call returns the same items, statistics
+/// and errors, and records the same trace events, as the matching fresh
+/// call; once warm, a call allocates nothing.
+///
+/// # Examples
+///
+/// ```
+/// use congest_sim::{primitives, SimConfig};
+/// use congest_graph::generators;
+/// let g = generators::path(4, 1);
+/// let cfg = SimConfig::standard(4, 1);
+/// let (tree, _) = primitives::bfs_tree(&g, 0, &cfg)?;
+/// let mut relay = primitives::TreeRelay::new(&g, 0, &cfg, &tree);
+/// for round in 0..3u64 {
+///     let items = vec![vec![], vec![], vec![], vec![(round, 7)]];
+///     let (gathered, _) = relay.collect(&items)?;
+///     assert_eq!(gathered, [(round, 7)]);
+///     relay.broadcast(&[7])?;
+/// }
+/// # Ok::<(), congest_sim::SimError>(())
+/// ```
+pub struct TreeRelay {
+    leader: NodeId,
+    collect: Network<CollectProgram>,
+    broadcast: Network<PipelinedBroadcastProgram>,
+}
+
+impl TreeRelay {
+    /// Builds the relay's two networks over `graph`, rooted at `leader`
+    /// along `tree` (as returned by [`bfs_tree`] from `leader`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tree.len() != graph.n()` or `leader >= graph.n()`.
+    pub fn new(
+        graph: &WeightedGraph,
+        leader: NodeId,
+        config: &SimConfig,
+        tree: &[TreeInfo],
+    ) -> TreeRelay {
+        assert_eq!(tree.len(), graph.n());
+        TreeRelay {
+            leader,
+            collect: Network::new(graph, leader, config.clone(), |v, _| {
+                CollectProgram::new(tree[v].clone(), &[])
+            }),
+            broadcast: Network::new(graph, leader, config.clone(), |v, _| {
+                PipelinedBroadcastProgram::new(tree[v].clone(), &[])
+            }),
+        }
+    }
+
+    /// [`collect_at_leader`] of `items` (one list per node): the `(tag,
+    /// value)` pairs gathered at the leader, sorted, plus statistics.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `items.len() != graph.n()`.
+    pub fn collect(
+        &mut self,
+        items: &[Vec<(u64, u128)>],
+    ) -> Result<(&[SeqItem], RoundStats), SimError> {
+        assert_eq!(items.len(), self.collect.n());
+        self.collect.rearm(|v, program| program.arm(&items[v]));
+        let stats = self.collect.run_traced("pipelined_collect")?;
+        let gathered = &mut self.collect.program_mut(self.leader).collected;
+        gathered.sort_unstable();
+        Ok((gathered, stats))
+    }
+
+    /// [`pipelined_broadcast`] of the leader's `items`, returning only the
+    /// statistics (every node receives `items`).
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator errors.
+    pub fn broadcast(&mut self, items: &[u128]) -> Result<RoundStats, SimError> {
+        let leader = self.leader;
+        self.broadcast
+            .rearm(|v, program| program.arm(if v == leader { items } else { &[] }));
+        self.broadcast.run_traced("pipelined_broadcast")
+    }
 }
 
 /// There is a subtlety in [`collect_at_leader`]'s round bound: one item per

@@ -674,6 +674,13 @@ impl BandwidthProfile {
         self.channel_rounds += 1;
     }
 
+    /// Forgets every sample, keeping the buffers' capacity.
+    pub(crate) fn clear(&mut self) {
+        self.counts.fill(0);
+        self.per_edge.clear();
+        self.channel_rounds = 0;
+    }
+
     /// Number of recorded samples.
     pub fn channel_rounds(&self) -> u64 {
         self.channel_rounds
