@@ -11,12 +11,14 @@ use congest_algos::baselines::{unweighted_apsp, weighted_apsp};
 use congest_algos::bounded_sssp::bounded_distance_sssp;
 use congest_graph::overlay::SkeletonDistances;
 use congest_graph::rounding::RoundingScheme;
-use congest_graph::{generators, shortest_path};
+use congest_graph::{generators, metrics, shortest_path};
 use congest_lb::degree::{approx_degree, SymmetricFn};
 use congest_lb::formulas::GadgetDims;
 use congest_lb::gadget::{diameter_gadget, paper_weights};
 use congest_sim::telemetry::{CountingTracer, NullTracer};
 use congest_sim::{primitives, SimConfig, Telemetry};
+use congest_wdr::algorithm::{evaluate_sets, sample_sets, Objective};
+use congest_wdr::params::WdrParams;
 use quantum_sim::search::{bbht, durr_hoyer_max};
 use quantum_sim::statevector::grover_state;
 use rand::SeedableRng;
@@ -43,6 +45,19 @@ fn graph_kernels(c: &mut Criterion) {
         let skeleton: Vec<usize> = (0..64).step_by(8).collect();
         let scheme = RoundingScheme::new(48, 0.25);
         b.iter(|| SkeletonDistances::compute(black_box(&small), &skeleton, scheme, 3))
+    });
+    c.bench_function("evaluate_sets_n48", |b| {
+        // The corpus calibration (ℓ = n, r = 0.35·n): 48 sets of about 17
+        // nodes each, read from one shared bounded-hop table.
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let n = 48;
+        let g = generators::erdos_renyi_connected(n, 0.1, 8, &mut rng);
+        let d = metrics::unweighted_diameter(&g);
+        let mut params = WdrParams::for_benchmarks(n, d.max(1), 0.25);
+        params.ell = n;
+        params.r = n as f64 * 0.35;
+        let sets = sample_sets(n, params.sample_rate(n), &mut rng);
+        b.iter(|| evaluate_sets(black_box(&g), &sets, &params, Objective::Diameter))
     });
 }
 

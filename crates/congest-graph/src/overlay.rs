@@ -16,6 +16,9 @@
 //! With `ℓ = n·log n / r` and `S` sampled at rate `r/n`, Lemma 3.3 gives
 //! `d ≤ d̃_{G,w,S} ≤ (1+ε)²·d` with overwhelming probability.
 //!
+//! [`BoundedHopTable`] holds the rows `d̃^ℓ(u, ·)` once per source, so
+//! many skeletons over one graph share them.
+//!
 //! Everything here is the centralized *reference*; the distributed versions
 //! live in the `congest-algos` crate and are tested against these.
 
@@ -46,6 +49,94 @@ pub struct Overlay {
     w: Vec<ApproxDist>,
 }
 
+/// The rows `d̃^ℓ(u, ·)` of a set of sources, each computed once.
+///
+/// A row depends only on the graph, `u` and the rounding scheme, never on
+/// which skeleton `u` belongs to. The `n` sampled sets of Section 3
+/// overlap heavily (each node joins about `r` of them), so building one
+/// table over `∪S_i` and reading every set's [`Overlay`] and
+/// [`SkeletonDistances`] from it costs `|∪S_i|` rows instead of one per
+/// set membership. Rows are stored row-major in one allocation, like
+/// [`crate::DistMatrix`].
+#[derive(Clone, Debug)]
+pub struct BoundedHopTable {
+    scheme: RoundingScheme,
+    n: usize,
+    /// The sources (sorted, distinct); row `i` belongs to `sources[i]`.
+    sources: Vec<NodeId>,
+    rows: Vec<ApproxDist>,
+}
+
+impl BoundedHopTable {
+    /// Computes `d̃^ℓ(u, ·)` for every distinct `u` in `sources`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source is out of range.
+    pub fn build(
+        g: &WeightedGraph,
+        sources: impl IntoIterator<Item = NodeId>,
+        scheme: RoundingScheme,
+    ) -> BoundedHopTable {
+        BoundedHopTable::build_in(g, sources, scheme, &mut SsspWorkspace::new())
+    }
+
+    /// [`build`](BoundedHopTable::build) through a caller's workspace, whose
+    /// [`KernelCounters`](crate::KernelCounters) then show the work done:
+    /// `imax + 1` mapped-weight searches per distinct source.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source is out of range.
+    pub fn build_in(
+        g: &WeightedGraph,
+        sources: impl IntoIterator<Item = NodeId>,
+        scheme: RoundingScheme,
+        ws: &mut SsspWorkspace,
+    ) -> BoundedHopTable {
+        let mut sources: Vec<NodeId> = sources.into_iter().collect();
+        sources.sort_unstable();
+        sources.dedup();
+        if let Some(&max) = sources.last() {
+            assert!(max < g.n(), "source {max} out of range");
+        }
+        let n = g.n();
+        let mut rows = vec![f64::INFINITY; sources.len() * n];
+        for (&u, row) in sources.iter().zip(rows.chunks_exact_mut(n.max(1))) {
+            approx_hop_bounded_into(g, u, scheme, ws, row);
+        }
+        BoundedHopTable {
+            scheme,
+            n,
+            sources,
+            rows,
+        }
+    }
+
+    /// The rounding scheme the rows were computed under.
+    pub fn scheme(&self) -> RoundingScheme {
+        self.scheme
+    }
+
+    /// The sources that have a row (sorted, distinct).
+    pub fn sources(&self) -> &[NodeId] {
+        &self.sources
+    }
+
+    /// The row `d̃^ℓ(u, ·)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is not a source of the table.
+    pub fn row(&self, u: NodeId) -> &[ApproxDist] {
+        let i = self
+            .sources
+            .binary_search(&u)
+            .unwrap_or_else(|_| panic!("node {u} has no row in the table"));
+        &self.rows[i * self.n..(i + 1) * self.n]
+    }
+}
+
 impl Overlay {
     /// Builds `(G'_S, w'_S)`: for every `u ∈ S`, runs the bounded-hop
     /// approximation from `u` and records `w'({u,v}) = d̃^ℓ(u,v)`.
@@ -58,21 +149,29 @@ impl Overlay {
         skeleton: &[NodeId],
         scheme: RoundingScheme,
     ) -> Overlay {
+        Overlay::from_table(
+            &BoundedHopTable::build(g, skeleton.iter().copied(), scheme),
+            skeleton,
+        )
+    }
+
+    /// Builds `(G'_S, w'_S)` from precomputed rows: `w'({u,v}) = d̃^ℓ(u,v)`
+    /// read from `table`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `skeleton` contains a duplicate node or a node without a
+    /// row in `table`.
+    pub fn from_table(table: &BoundedHopTable, skeleton: &[NodeId]) -> Overlay {
         let mut nodes = skeleton.to_vec();
         nodes.sort_unstable();
         let before = nodes.len();
         nodes.dedup();
         assert_eq!(nodes.len(), before, "skeleton contains duplicates");
-        if let Some(&max) = nodes.last() {
-            assert!(max < g.n(), "skeleton node {max} out of range");
-        }
         let s = nodes.len();
         let mut w = vec![0.0; s * s];
-        // One workspace and one distance row serve the whole skeleton loop.
-        let mut ws = SsspWorkspace::new();
-        let mut d = vec![f64::INFINITY; g.n()];
         for (i, &u) in nodes.iter().enumerate() {
-            approx_hop_bounded_into(g, u, scheme, &mut ws, &mut d);
+            let d = table.row(u);
             for (j, &v) in nodes.iter().enumerate() {
                 if i != j {
                     // Keep the matrix symmetric: d̃ is symmetric analytically,
@@ -597,18 +696,28 @@ impl SkeletonDistances {
         scheme: RoundingScheme,
         k: usize,
     ) -> SkeletonDistances {
+        SkeletonDistances::from_table(
+            &BoundedHopTable::build(g, skeleton.iter().copied(), scheme),
+            skeleton,
+            k,
+        )
+    }
+
+    /// [`compute`](SkeletonDistances::compute) with the bounded-hop rows read
+    /// from `table` (computed under its scheme) instead of recomputed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the skeleton is empty, `k == 0`, or a skeleton node has no
+    /// row in `table`.
+    pub fn from_table(table: &BoundedHopTable, skeleton: &[NodeId], k: usize) -> SkeletonDistances {
         assert!(!skeleton.is_empty(), "skeleton must be non-empty");
         assert!(k >= 1, "k must be ≥ 1");
-        let overlay = Overlay::from_skeleton(g, skeleton, scheme);
-        let mut ws = SsspWorkspace::new();
+        let overlay = Overlay::from_table(table, skeleton);
         let bounded_hop = overlay
             .nodes()
             .iter()
-            .map(|&u| {
-                let mut row = vec![f64::INFINITY; g.n()];
-                approx_hop_bounded_into(g, u, scheme, &mut ws, &mut row);
-                row
-            })
+            .map(|&u| table.row(u).to_vec())
             .collect();
         let shortcut = overlay.shortcut(k);
         let overlay_ell = ((4 * overlay.len()) as f64 / k as f64).ceil().max(1.0) as usize;
@@ -617,7 +726,7 @@ impl SkeletonDistances {
             bounded_hop,
             shortcut,
             overlay_ell,
-            eps: scheme.eps,
+            eps: table.scheme().eps,
         }
     }
 

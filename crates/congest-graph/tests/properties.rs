@@ -1,9 +1,11 @@
 //! Property-based tests of the graph substrate.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the paper's matrix notation
-use congest_graph::overlay::{Overlay, SkeletonDistances};
-use congest_graph::rounding::RoundingScheme;
-use congest_graph::{generators, metrics, shortest_path, Dist, GraphBuilder, WeightedGraph};
+use congest_graph::overlay::{sample_skeleton, BoundedHopTable, Overlay, SkeletonDistances};
+use congest_graph::rounding::{approx_hop_bounded, RoundingScheme};
+use congest_graph::{
+    generators, metrics, shortest_path, Dist, GraphBuilder, SsspWorkspace, WeightedGraph,
+};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -15,8 +17,130 @@ fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
     })
 }
 
+/// `SkeletonDistances` for one skeleton computed from scratch, row by row,
+/// without a [`BoundedHopTable`]: `w'` is the symmetric min of the two
+/// `d̃^ℓ` rows of each pair.
+fn fresh_skeleton_distances(
+    g: &WeightedGraph,
+    skeleton: &[usize],
+    scheme: RoundingScheme,
+    k: usize,
+) -> (Overlay, SkeletonDistances) {
+    let mut nodes = skeleton.to_vec();
+    nodes.sort_unstable();
+    let rows: Vec<Vec<f64>> = nodes
+        .iter()
+        .map(|&u| approx_hop_bounded(g, u, scheme))
+        .collect();
+    let s = nodes.len();
+    let mut w = vec![0.0; s * s];
+    for i in 0..s {
+        for j in 0..s {
+            if i != j {
+                w[i * s + j] = rows[i][nodes[j]].min(rows[j][nodes[i]]);
+            }
+        }
+    }
+    let overlay = Overlay::from_matrix(nodes.clone(), w);
+    let sd = SkeletonDistances {
+        skeleton: nodes,
+        bounded_hop: rows,
+        shortcut: overlay.shortcut(k),
+        overlay_ell: ((4 * s) as f64 / k as f64).ceil().max(1.0) as usize,
+        eps: scheme.eps,
+    };
+    (overlay, sd)
+}
+
+fn bits(xs: impl IntoIterator<Item = f64>) -> Vec<u64> {
+    xs.into_iter().map(f64::to_bits).collect()
+}
+
+fn weight_bits(ov: &Overlay) -> Vec<u64> {
+    bits((0..ov.len()).flat_map(|i| (0..ov.len()).map(move |j| ov.weight(i, j))))
+}
+
+fn skeleton_distance_bits(sd: &SkeletonDistances) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+    (
+        weight_bits(&sd.shortcut),
+        bits(sd.bounded_hop.iter().flatten().copied()),
+        bits(sd.skeleton.iter().map(|&s| sd.approx_eccentricity(s))),
+    )
+}
+
+/// Building the table runs `imax + 1` mapped-weight searches per distinct
+/// source of `∪S_i`, however often the sets repeat a node; building every
+/// set's `SkeletonDistances` from it runs none.
+#[test]
+fn table_runs_one_row_per_distinct_source() {
+    let mut rng = ChaCha8Rng::seed_from_u64(15);
+    for n in [8usize, 13, 20] {
+        let g = generators::erdos_renyi_connected(n, 0.3, 12, &mut rng);
+        // The corpus calibration: ℓ = n, r = 0.35·n, so each node joins
+        // about a third of the n sets.
+        let scheme = RoundingScheme::new(n, 0.25);
+        let sets: Vec<Vec<usize>> = (0..n).map(|_| sample_skeleton(n, 0.35, &mut rng)).collect();
+        let mut union: Vec<usize> = sets.iter().flatten().copied().collect();
+        let memberships = union.len();
+        union.sort_unstable();
+        union.dedup();
+        assert!(memberships > 2 * union.len(), "the sets overlap");
+        let imax = scheme.max_scale(n, g.max_weight()) as u64;
+        let mut ws = SsspWorkspace::new();
+        let table = BoundedHopTable::build_in(&g, sets.iter().flatten().copied(), scheme, &mut ws);
+        let built = ws.counters();
+        assert_eq!(table.sources(), &union[..]);
+        assert_eq!(built.heap_runs, union.len() as u64 * (imax + 1));
+        assert_eq!(built.total_runs(), built.heap_runs);
+        for set in sets.iter().filter(|s| !s.is_empty()) {
+            let sd = SkeletonDistances::from_table(&table, set, 3);
+            assert_eq!(sd.skeleton.len(), set.len());
+        }
+        assert_eq!(ws.counters(), built, "reading the table runs no search");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Reading `w'`, `w''`, the bounded-hop rows and the eccentricities of
+    /// several overlapping skeletons from one shared table gives the same
+    /// bits as computing each skeleton from scratch.
+    #[test]
+    fn from_table_is_bit_identical_to_fresh_sets(
+        g in arb_graph(),
+        seed in any::<u64>(),
+        rate in 0.1f64..0.9,
+        ell in 1usize..24,
+        eps in 0.1f64..1.0,
+        k in 1usize..5,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let sets: Vec<Vec<usize>> = (0..4)
+            .map(|_| sample_skeleton(g.n(), rate, &mut rng))
+            .filter(|s| !s.is_empty())
+            .collect();
+        prop_assume!(!sets.is_empty());
+        let scheme = RoundingScheme::new(ell, eps);
+        let table = BoundedHopTable::build(&g, sets.iter().flatten().copied(), scheme);
+        for set in &sets {
+            let (fresh_overlay, fresh) = fresh_skeleton_distances(&g, set, scheme, k);
+            let overlay = Overlay::from_table(&table, set);
+            prop_assert_eq!(overlay.nodes(), fresh_overlay.nodes());
+            prop_assert_eq!(weight_bits(&overlay), weight_bits(&fresh_overlay));
+            prop_assert_eq!(
+                weight_bits(&Overlay::from_skeleton(&g, set, scheme)),
+                weight_bits(&fresh_overlay)
+            );
+            let want = skeleton_distance_bits(&fresh);
+            let shared = SkeletonDistances::from_table(&table, set, k);
+            prop_assert_eq!(&shared.skeleton, &fresh.skeleton);
+            prop_assert_eq!(shared.overlay_ell, fresh.overlay_ell);
+            prop_assert_eq!(skeleton_distance_bits(&shared), want.clone());
+            let own = SkeletonDistances::compute(&g, set, scheme, k);
+            prop_assert_eq!(skeleton_distance_bits(&own), want);
+        }
+    }
 
     /// Builder canonicalization: edge count, symmetry, weight positivity.
     #[test]

@@ -30,7 +30,7 @@
 use crate::framework::{optimize, ordered_bits, PhaseCosts};
 use crate::params::WdrParams;
 use congest_algos::skeleton::SkeletonState;
-use congest_graph::overlay::SkeletonDistances;
+use congest_graph::overlay::{BoundedHopTable, SkeletonDistances};
 use congest_graph::{metrics, NodeId, WeightedGraph};
 use congest_sim::{primitives, ResilienceBudget, RoundStats, SimConfig, SimError};
 use quantum_sim::search::{find_above_threshold, lemma_3_1_budget, SearchTrace};
@@ -149,19 +149,23 @@ pub fn sample_sets<R: Rng + ?Sized>(n: usize, rate: f64, rng: &mut R) -> Vec<Vec
 
 /// Evaluates every non-empty set with the centralized reference: the
 /// `ẽ_i(s)` tables the quantum searches run over.
+///
+/// The bounded-hop rows `d̃^ℓ(u, ·)` are computed once for `∪S_i` and
+/// shared by every set, so the result equals per-set
+/// [`SkeletonDistances::compute`] at a fraction of its cost.
 pub fn evaluate_sets(
     g: &WeightedGraph,
     sets: &[Vec<NodeId>],
     params: &WdrParams,
     objective: Objective,
 ) -> Vec<Option<SetEval>> {
-    let scheme = params.scheme();
+    let table = BoundedHopTable::build(g, sets.iter().flatten().copied(), params.scheme());
     sets.iter()
         .map(|set| {
             if set.is_empty() {
                 return None;
             }
-            let sd = SkeletonDistances::compute(g, set, scheme, params.k);
+            let sd = SkeletonDistances::from_table(&table, set, params.k);
             let eccs: Vec<f64> = sd
                 .skeleton
                 .iter()
@@ -488,6 +492,44 @@ mod tests {
         let cap = (1.0 + p.eps) * (1.0 + p.eps) * exact + 1e-6;
         for e in evals.iter().flatten() {
             assert!(e.f <= cap, "f(i) = {} exceeds (1+ε)²D = {cap}", e.f);
+        }
+    }
+
+    /// The shared bounded-hop table changes no bit of the `f(i)` table:
+    /// every set evaluates as it does through its own
+    /// `SkeletonDistances::compute`.
+    #[test]
+    fn evaluate_sets_equals_per_set_compute() {
+        let mut rng = ChaCha8Rng::seed_from_u64(76);
+        for (n, objective) in [
+            (9, Objective::Diameter),
+            (13, Objective::Radius),
+            (16, Objective::Diameter),
+        ] {
+            let g = generators::erdos_renyi_connected(n, 0.3, 9, &mut rng);
+            let p = small_params(&g);
+            let sets = sample_sets(n, p.sample_rate(n), &mut rng);
+            let evals = evaluate_sets(&g, &sets, &p, objective);
+            assert_eq!(evals.len(), sets.len());
+            for (set, eval) in sets.iter().zip(&evals) {
+                let Some(eval) = eval else {
+                    assert!(set.is_empty());
+                    continue;
+                };
+                let sd = SkeletonDistances::compute(&g, set, p.scheme(), p.k);
+                let eccs: Vec<f64> = sd
+                    .skeleton
+                    .iter()
+                    .map(|&s| sd.approx_eccentricity(s))
+                    .collect();
+                let f = match objective {
+                    Objective::Diameter => eccs.iter().copied().fold(0.0f64, f64::max),
+                    Objective::Radius => eccs.iter().copied().fold(f64::INFINITY, f64::min),
+                };
+                assert_eq!(eval.skeleton, sd.skeleton);
+                assert_eq!(to_bits(&eval.eccs), to_bits(&eccs));
+                assert_eq!(eval.f.to_bits(), f.to_bits());
+            }
         }
     }
 

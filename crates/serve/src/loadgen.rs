@@ -153,6 +153,10 @@ impl LoadReport {
     }
 }
 
+/// Cold seeds are below `2^53`, the largest range of integers an `f64`
+/// (the vendored `serde_json`'s number type) holds exactly.
+const COLD_SEED_MASK: u64 = (1 << 53) - 1;
+
 /// Deterministically maps request index `idx` to its query.
 fn query_for(mix: MixKind, base_seed: u64, n: Option<usize>, idx: u64) -> Query {
     match mix {
@@ -160,7 +164,7 @@ fn query_for(mix: MixKind, base_seed: u64, n: Option<usize>, idx: u64) -> Query 
             // A fresh seed every request, and bypass the cache: identical
             // graphs from different seeds would otherwise share entries.
             let mut state = base_seed ^ idx;
-            let scenario = splitmix64(&mut state);
+            let scenario = splitmix64(&mut state) & COLD_SEED_MASK;
             let algorithm = match idx % 4 {
                 0 => Algorithm::Extremes,
                 1 => Algorithm::Eccentricities,
@@ -400,6 +404,20 @@ mod tests {
             })
             .collect();
         assert_eq!(distinct.len(), 8);
+    }
+
+    /// Every cold query's scenario seed survives `to_json` → `parse`, so
+    /// the server answers the scenario the driver asked for.
+    #[test]
+    fn cold_seeds_survive_the_wire() {
+        for idx in 0..10_000 {
+            let request = Request {
+                id: idx,
+                kind: RequestKind::Query(query_for(MixKind::Cold, 42, Some(48), idx)),
+            };
+            let parsed = Request::parse(request.to_json().as_bytes()).unwrap();
+            assert_eq!(parsed, request, "idx {idx}");
+        }
     }
 
     #[test]
